@@ -15,6 +15,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/tenant/...
 	$(GO) test -race -count=1 ./internal/serve
+	$(GO) test -race -count=10 -run 'Cancel' ./internal/tenant ./internal/serve
 	$(GO) test -race -count=1 -run 'TestSched|TestReplayInvariants|TestPlanAdmission|TestWFQ|TestPriority|TestDeadline|TestAffinity|TestChurn|TestPropertyBisection|TestApplyChurn|TestPeakConcurrency|TestSharded|TestShardPlan|TestStreaming|TestTimelineRoundTrip|TestStepCursorWindows|TestWindowRingRecycle|TestRecorderWidthContract' ./internal/tenant
 
 fuzz:
@@ -56,7 +57,7 @@ bench:
 	$(GO) run ./cmd/lbabench -n 40000 -fig churn -tenants 4 -pool 2 -seeds 2 -json BENCH_churn.json
 	@grep -q '"churn"' BENCH_churn.json && grep -q '"peak_concurrency"' BENCH_churn.json
 	$(GO) run ./cmd/lbabench -bench replay -json BENCH_replay.ci.json -diff-schema BENCH_replay.json
-	@grep -q '"lba-bench-replay/v1"' BENCH_replay.ci.json && grep -q '"speedup_x"' BENCH_replay.ci.json
+	@grep -q '"lba-bench-replay/v2"' BENCH_replay.ci.json && grep -q '"speedup_x"' BENCH_replay.ci.json
 	@grep -q '"sharded"' BENCH_replay.ci.json && grep -q '"shards": 4' BENCH_replay.ci.json
 	@grep -q '"streaming"' BENCH_replay.ci.json && grep -q '"peak_heap_bytes"' BENCH_replay.ci.json
 

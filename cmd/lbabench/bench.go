@@ -1,8 +1,8 @@
 // Replay-benchmark mode: `lbabench -bench replay` times the multi-tenant
-// replay's batched fast path against its per-record oracle on a pinned
-// workload and emits the comparison as BENCH_replay.json (schema
-// lba-bench-replay/v1) for CI's benchmark-trajectory artifacts. The same
-// pairing is measured by BenchmarkReplay in internal/tenant; this command
+// replay's production path (tenant.ReplayPool) on pinned workloads and
+// emits the trajectory as BENCH_replay.json (schema lba-bench-replay/v2)
+// for CI's benchmark-trajectory artifacts. The per-policy cells are the
+// ones BenchmarkReplay/batched measures in internal/tenant; this command
 // exists so the trajectory lands in one self-describing JSON file rather
 // than in `go test -bench` text output. See docs/performance.md for the
 // field-by-field schema and the CI pinning recipe.
@@ -29,14 +29,13 @@ import (
 // BenchmarkReplay pins — so BENCH_replay.json artifacts compare across
 // commits. None of the sweep flags apply; run() rejects them.
 const (
-	benchReplaySchema = "lba-bench-replay/v1"
+	benchReplaySchema = "lba-bench-replay/v2"
 	benchTenants      = 4
 	benchScale        = 300_000
 	benchCores        = 2
 	benchPenalty      = 320
-	// benchReps replays each (policy, dispatch) cell this many times and
-	// keeps the fastest — the standard guard against scheduler noise on a
-	// shared CI runner.
+	// benchReps replays each cell this many times and keeps the fastest —
+	// the standard guard against scheduler noise on a shared CI runner.
 	benchReps = 3
 )
 
@@ -56,8 +55,8 @@ const (
 )
 
 // benchShardCounts are the partition widths the trajectory tracks;
-// shards=1 IS the batched fast path (the plan short-circuits), so the
-// first row doubles as the section's serial baseline.
+// ReplayPool replays shards=1 unsharded, so the first row doubles as the
+// section's serial baseline.
 var benchShardCounts = []int{1, 2, 4}
 
 // The streaming section measures the bounded-window replay pipeline: a
@@ -76,7 +75,7 @@ const (
 // memory/throughput curve tracks; 1024 is DefaultStepWindow.
 var benchStreamWindows = []int{128, 512, 1024, 8192}
 
-// benchDispatchStats is one (policy, dispatch) cell of the report.
+// benchDispatchStats is one measured cell of the report.
 type benchDispatchStats struct {
 	NsPerReplay     float64 `json:"ns_per_replay"`
 	NsPerRecord     float64 `json:"ns_per_record"`
@@ -85,22 +84,16 @@ type benchDispatchStats struct {
 	BytesPerReplay  float64 `json:"bytes_per_replay"`
 }
 
-// benchPolicyRow pairs both dispatch paths for one scheduling policy.
+// benchPolicyRow is the batched replay's cost under one scheduling policy.
 type benchPolicyRow struct {
-	Policy    string             `json:"policy"`
-	Batched   benchDispatchStats `json:"batched"`
-	PerRecord benchDispatchStats `json:"per_record"`
-	// SpeedupX is batched records/sec over per-record records/sec.
-	SpeedupX float64 `json:"speedup_x"`
+	Policy  string             `json:"policy"`
+	Batched benchDispatchStats `json:"batched"`
 }
 
 // benchHeadline aggregates the trajectory number CI pins: total records
-// replayed across every policy divided by total (fastest-rep) time, per
-// dispatch path.
+// replayed across every policy divided by total (fastest-rep) time.
 type benchHeadline struct {
-	BatchedRecordsPerSec   float64 `json:"batched_records_per_sec"`
-	PerRecordRecordsPerSec float64 `json:"per_record_records_per_sec"`
-	SpeedupX               float64 `json:"speedup_x"`
+	BatchedRecordsPerSec float64 `json:"batched_records_per_sec"`
 }
 
 type benchSuiteDesc struct {
@@ -185,33 +178,19 @@ func (s *session) benchReplay(jsonPath, diffSchemaPath string) error {
 		Suite: benchSuiteDesc{Tenants: benchTenants, Scale: benchScale, Cores: benchCores,
 			MigrationPenalty: benchPenalty, Reps: benchReps},
 	}
-	var batchedTotal, perRecordTotal time.Duration
+	var batchedTotal time.Duration
 	for _, policy := range tenant.Policies() {
 		pool := tenant.PoolConfig{Cores: benchCores, Policy: policy, MigrationPenalty: benchPenalty}
-		batched, records, err := measureReplay(profiles, pool, tenant.DispatchBatched)
-		if err != nil {
-			return err
-		}
-		perRecord, _, err := measureReplay(profiles, pool, tenant.DispatchPerRecord)
+		batched, records, err := measureReplay(profiles, pool)
 		if err != nil {
 			return err
 		}
 		rep.Suite.RecordsPerReplay = records
 		batchedTotal += time.Duration(batched.NsPerReplay)
-		perRecordTotal += time.Duration(perRecord.NsPerReplay)
-		rep.Policies = append(rep.Policies, benchPolicyRow{
-			Policy:    policy,
-			Batched:   batched,
-			PerRecord: perRecord,
-			SpeedupX:  batched.RecordsPerSec / perRecord.RecordsPerSec,
-		})
+		rep.Policies = append(rep.Policies, benchPolicyRow{Policy: policy, Batched: batched})
 	}
 	totalRecords := float64(rep.Suite.RecordsPerReplay) * float64(len(rep.Policies))
-	rep.Headline = benchHeadline{
-		BatchedRecordsPerSec:   totalRecords / batchedTotal.Seconds(),
-		PerRecordRecordsPerSec: totalRecords / perRecordTotal.Seconds(),
-	}
-	rep.Headline.SpeedupX = rep.Headline.BatchedRecordsPerSec / rep.Headline.PerRecordRecordsPerSec
+	rep.Headline = benchHeadline{BatchedRecordsPerSec: totalRecords / batchedTotal.Seconds()}
 
 	shardProfiles, err := benchProfiles(benchShardTenants)
 	if err != nil {
@@ -224,7 +203,7 @@ func (s *session) benchReplay(jsonPath, diffSchemaPath string) error {
 	for _, shards := range benchShardCounts {
 		pool := tenant.PoolConfig{Cores: benchShardCores, Policy: benchShardPolicy,
 			MigrationPenalty: benchPenalty, Shards: shards}
-		stats, records, err := measureReplay(shardProfiles, pool, tenant.DispatchSharded)
+		stats, records, err := measureReplay(shardProfiles, pool)
 		if err != nil {
 			return err
 		}
@@ -241,20 +220,17 @@ func (s *session) benchReplay(jsonPath, diffSchemaPath string) error {
 		return err
 	}
 
-	fmt.Fprintf(s.out, "Replay dispatch benchmark: %d tenants, %d cores, %d records/replay, best of %d\n",
+	fmt.Fprintf(s.out, "Replay benchmark: %d tenants, %d cores, %d records/replay, best of %d\n",
 		benchTenants, benchCores, rep.Suite.RecordsPerReplay, benchReps)
-	tb := metrics.NewTable("policy", "batched-Mrec/s", "per-record-Mrec/s", "speedup", "batched-allocs", "per-record-allocs")
+	tb := metrics.NewTable("policy", "Mrec/s", "ns/record", "allocs")
 	for _, row := range rep.Policies {
 		tb.AddRow(row.Policy,
 			fmt.Sprintf("%.1f", row.Batched.RecordsPerSec/1e6),
-			fmt.Sprintf("%.1f", row.PerRecord.RecordsPerSec/1e6),
-			fmt.Sprintf("%.2fx", row.SpeedupX),
-			fmt.Sprintf("%.0f", row.Batched.AllocsPerReplay),
-			fmt.Sprintf("%.0f", row.PerRecord.AllocsPerReplay))
+			fmt.Sprintf("%.1f", row.Batched.NsPerRecord),
+			fmt.Sprintf("%.0f", row.Batched.AllocsPerReplay))
 	}
 	fmt.Fprint(s.out, tb.String())
-	fmt.Fprintf(s.out, "headline: %.1f Mrec/s batched vs %.1f Mrec/s per-record = %.2fx\n\n",
-		rep.Headline.BatchedRecordsPerSec/1e6, rep.Headline.PerRecordRecordsPerSec/1e6, rep.Headline.SpeedupX)
+	fmt.Fprintf(s.out, "headline: %.1f Mrec/s\n\n", rep.Headline.BatchedRecordsPerSec/1e6)
 
 	fmt.Fprintf(s.out, "Sharded replay benchmark: %d tenants, %d cores, %s, %d records/replay, best of %d\n",
 		benchShardTenants, benchShardCores, benchShardPolicy, rep.Sharded.RecordsPerReplay, benchReps)
@@ -339,11 +315,16 @@ func measureStreaming(suite []*tenant.Profile) (benchStreamingSection, error) {
 	for _, window := range benchStreamWindows {
 		pool := tenant.PoolConfig{Cores: benchStreamCores, Policy: tenant.PolicyLeastLag, StepWindow: window}
 
-		runtime.GC() // empty the arena pool so the cold footprint is comparable across windows
+		// Empty the arena pool so every window measures a cold replay: the
+		// first collection only moves pooled arenas to the victim cache,
+		// which a later Get may or may not reach depending on the P it runs
+		// on.
+		runtime.GC()
+		runtime.GC()
 		gcPct := debug.SetGCPercent(-1)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := tenant.ReplayPool(profiles, pool, tenant.DispatchBatched)
+		res, err := tenant.ReplayPool(context.Background(), profiles, pool)
 		runtime.ReadMemStats(&after)
 		debug.SetGCPercent(gcPct)
 		if err != nil {
@@ -357,7 +338,7 @@ func measureStreaming(suite []*tenant.Profile) (benchStreamingSection, error) {
 		var best time.Duration
 		for r := 0; r < benchReps; r++ {
 			start := time.Now()
-			if _, err := tenant.ReplayPool(profiles, pool, tenant.DispatchBatched); err != nil {
+			if _, err := tenant.ReplayPool(context.Background(), profiles, pool); err != nil {
 				return sec, err
 			}
 			if d := time.Since(start); r == 0 || d < best {
@@ -450,13 +431,14 @@ func benchProfiles(n int) ([]*tenant.Profile, error) {
 	return profiles, nil
 }
 
-// measureReplay times one (policy, dispatch) cell: an untimed warm-up
-// replay (fills the arena pool and factor memo, and supplies the record
-// count), then benchReps timed replays keeping the fastest. Allocation
+// measureReplay times one pool cell through tenant.ReplayPool (sharded
+// when the pool asks for shards): an untimed warm-up replay (fills the
+// arena pool and factor memo, and supplies the record count), then
+// benchReps timed replays keeping the fastest. Allocation
 // figures are runtime.MemStats deltas over the timed replays, averaged —
 // the command-line analogue of testing.B's ReportAllocs.
-func measureReplay(profiles []*tenant.Profile, pool tenant.PoolConfig, mode tenant.Dispatch) (benchDispatchStats, uint64, error) {
-	res, err := tenant.ReplayPool(profiles, pool, mode)
+func measureReplay(profiles []*tenant.Profile, pool tenant.PoolConfig) (benchDispatchStats, uint64, error) {
+	res, err := tenant.ReplayPool(context.Background(), profiles, pool)
 	if err != nil {
 		return benchDispatchStats{}, 0, err
 	}
@@ -470,7 +452,7 @@ func measureReplay(profiles []*tenant.Profile, pool tenant.PoolConfig, mode tena
 	var best time.Duration
 	for rep := 0; rep < benchReps; rep++ {
 		start := time.Now()
-		if _, err := tenant.ReplayPool(profiles, pool, mode); err != nil {
+		if _, err := tenant.ReplayPool(context.Background(), profiles, pool); err != nil {
 			return benchDispatchStats{}, 0, err
 		}
 		if d := time.Since(start); rep == 0 || d < best {

@@ -31,7 +31,7 @@
 //	lbabench -n 2000000           # instruction scale per run
 //	lbabench -workers 8           # experiment-matrix worker pool width
 //	lbabench -json out.json       # structured results for trajectory tracking
-//	lbabench -bench replay -json BENCH_replay.json  # batched vs per-record replay throughput
+//	lbabench -bench replay -json BENCH_replay.json  # replay throughput trajectory
 package main
 
 import (
@@ -99,7 +99,7 @@ func run(args []string, out io.Writer) error {
 		shards     = fs.Int("shards", 0, "partition a single cell's pool into K sub-pools replayed in parallel (0/1 = unsharded)")
 		window     = fs.Int("window", 0, "single cell: replay decode window in steps (0 = the "+fmt.Sprint(tenant.DefaultStepWindow)+"-step default)")
 		seeds      = fs.Int("seeds", 1, "workload-seed replications for the churn figure's admission confidence bands")
-		bench      = fs.String("bench", "", "replay — time the batched replay fast path against the per-record oracle (with -json, writes the lba-bench-replay/v1 report)")
+		bench      = fs.String("bench", "", "replay — time the production replay path per policy, sharded and streaming (with -json, writes the lba-bench-replay/v2 report)")
 		diffSchema = fs.String("diff-schema", "", "with -bench: diff the fresh report's JSON key paths against this committed trajectory file (exits non-zero on drift)")
 		jsonPath   = fs.String("json", "", "write structured runner results to this file")
 	)
@@ -121,8 +121,8 @@ func run(args []string, out io.Writer) error {
 	if *shards < 0 || *shards > *pool {
 		return fmt.Errorf("-shards must be in 0..pool (%d cores), got %d", *pool, *shards)
 	}
-	if *window < 0 {
-		return fmt.Errorf("-window must be >= 0 decode steps (0 selects the %d-step default), got %d", tenant.DefaultStepWindow, *window)
+	if err := tenant.ValidateStepWindow(*window); err != nil {
+		return fmt.Errorf("-window: %w", err)
 	}
 	if err := tenant.ValidPolicy(*sched); err != nil {
 		return err

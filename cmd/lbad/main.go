@@ -101,8 +101,8 @@ func runDaemon(args []string, out io.Writer) error {
 	if *shards < 0 || *shards > *pool {
 		return fmt.Errorf("-shards must be in 0..pool (%d cores), got %d", *pool, *shards)
 	}
-	if *window < 0 {
-		return fmt.Errorf("-window must be >= 0 decode steps (0 selects the %d-step default), got %d", tenant.DefaultStepWindow, *window)
+	if err := tenant.ValidateStepWindow(*window); err != nil {
+		return fmt.Errorf("-window: %w", err)
 	}
 
 	cfg := serve.Config{

@@ -129,8 +129,8 @@ func run(args []string, out io.Writer) error {
 		if *seeds < 1 {
 			return fmt.Errorf("-seeds must be >= 1, got %d", *seeds)
 		}
-		if *window < 0 {
-			return fmt.Errorf("-window must be >= 0 decode steps (0 selects the %d-step default), got %d", tenant.DefaultStepWindow, *window)
+		if err := tenant.ValidateStepWindow(*window); err != nil {
+			return fmt.Errorf("-window: %w", err)
 		}
 		if err := (tenant.Churn{Rate: *churn}).Validate(); err != nil {
 			return err

@@ -58,7 +58,8 @@ func AdmissionPlan(base tenant.PoolConfig, policies []string, slos []float64, ma
 	for _, policy := range policies {
 		pool := base
 		pool.Policy = policy
-		pts, err := eng.PlanAdmission(context.Background(), opts.workloadConfig(), opts.coreConfig(), pool, slos, maxTenants)
+		pts, err := eng.PlanAdmissionQuery(context.Background(), opts.workloadConfig(), opts.coreConfig(),
+			tenant.AdmissionQuery{Pool: pool, SLOs: slos, MaxTenants: maxTenants})
 		if err != nil {
 			return nil, fmt.Errorf("figures: %w", err)
 		}

@@ -323,10 +323,10 @@ func (h *executor) runPool(ctx context.Context, s Scenario, c *Criteria) (*Artif
 	return &Artifact{Schema: ArtifactSchema, ID: s.ID, Kind: s.Kind, Checks: checks, Cell: &cell}, nil
 }
 
-// dispatchOracle replays the scenario's profiles through the pre-PR 6
-// per-record reference path and deep-compares against the batched result
-// — the corpus form of the TestBatchedDispatchMatchesPerRecord
-// differential.
+// dispatchOracle replays the scenario's profiles through the per-record
+// reference (tenant.ReplayPoolReference) and deep-compares against the
+// batched result — the corpus form of the
+// TestBatchedDispatchMatchesPerRecord differential.
 func (h *executor) dispatchOracle(ctx context.Context, set []tenant.Tenant, pool tenant.PoolConfig, batched *tenant.PoolResult) (bool, string, error) {
 	profiles := make([]*tenant.Profile, len(set))
 	for i, t := range set {
@@ -343,7 +343,7 @@ func (h *executor) dispatchOracle(ctx context.Context, set []tenant.Tenant, pool
 		}
 		profiles[i] = p
 	}
-	oracle, err := tenant.ReplayPool(profiles, pool, tenant.DispatchPerRecord)
+	oracle, err := tenant.ReplayPoolReference(ctx, profiles, pool)
 	if err != nil {
 		return false, "", err
 	}

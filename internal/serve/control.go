@@ -61,12 +61,10 @@ func (s *Server) replayOnce() bool {
 	}
 	ids := append([]int(nil), s.order...)
 	pop := make([]tenant.Tenant, len(ids))
-	names := make([]string, len(ids))
 	var drainingIDs []int
 	for i, id := range ids {
 		lt := s.live[id]
 		pop[i] = lt.tn
-		names[i] = lt.tn.Name
 		if lt.draining {
 			drainingIDs = append(drainingIDs, id)
 		}
@@ -75,7 +73,6 @@ func (s *Server) replayOnce() bool {
 		// Nothing to simulate: the empty population's result is "no
 		// result", and any drained tenants are already gone from order.
 		s.lastResult = nil
-		s.lastNames = nil
 		s.lastIDs = nil
 		s.resultGen = gen
 		s.mu.Unlock()
@@ -129,7 +126,6 @@ func (s *Server) replayOnce() bool {
 	s.replays++
 	s.lastErr = nil
 	s.lastResult = res
-	s.lastNames = names
 	s.lastIDs = ids
 	s.resultGen = gen
 	// Drained tenants leave the live set now that a replay has served

@@ -131,9 +131,8 @@ type Server struct {
 	popGen     int // bumped on every membership change
 	resultGen  int // popGen the latest finished replay covered
 	lastResult *tenant.PoolResult
-	lastNames  []string // result row -> tenant name, aligned with lastResult
-	lastIDs    []int    // result row -> tenant id
-	lastErr    error    // most recent replay failure, nil after success
+	lastIDs    []int // result row -> tenant id
+	lastErr    error // most recent replay failure, nil after success
 	cancelRun  context.CancelFunc
 
 	admitted         uint64
@@ -154,7 +153,7 @@ func New(cfg Config, dataDir string) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if err := validateWindowFlag(cfg.Pool.StepWindow); err != nil {
+	if err := tenant.ValidateStepWindow(cfg.Pool.StepWindow); err != nil {
 		return nil, err
 	}
 	store, err := Open(dataDir)
@@ -185,16 +184,6 @@ func New(cfg Config, dataDir string) (*Server, error) {
 	// idleness and freshness hold from the start.
 	s.kickReplay()
 	return s, nil
-}
-
-// validateWindowFlag mirrors the replay's own StepWindow validation at
-// the daemon boundary, so a bad -window fails at startup rather than on
-// the first replay.
-func validateWindowFlag(window int) error {
-	if window < 0 {
-		return fmt.Errorf("serve: replay decode window must be >= 0 (0 selects the %d-step default), got %d", tenant.DefaultStepWindow, window)
-	}
-	return nil
 }
 
 // recover folds the audit log back into the live set: admits insert,

@@ -267,13 +267,6 @@ func admissionSearch(env *envelope, maxN int, slos []float64) (answers []searchA
 	return answers, true, nil
 }
 
-// PlanAdmission computes admission-control points for the pool over fixed
-// tenant sets at the base seed: the single-query form of
-// PlanAdmissionQuery kept for the common case.
-func (e *Engine) PlanAdmission(ctx context.Context, wcfg workloads.Config, ccfg core.Config, pool PoolConfig, slos []float64, maxTenants int) ([]AdmissionPoint, error) {
-	return e.PlanAdmissionQuery(ctx, wcfg, ccfg, AdmissionQuery{Pool: pool, SLOs: slos, MaxTenants: maxTenants})
-}
-
 // PlanAdmissionQuery answers an admission query by monotone-envelope
 // bisection: candidate populations are drawn from the suite like
 // FromSuite (then churned per the query), the worst-tenant contention

@@ -13,13 +13,13 @@ func TestPlanAdmissionRejectsBadInputs(t *testing.T) {
 	eng := NewEngine(1, nil)
 	ctx := context.Background()
 	pool := PoolConfig{Cores: 1}
-	if _, err := eng.PlanAdmission(ctx, testWorkload(), core.DefaultConfig(), pool, []float64{2}, 0); err == nil {
+	if _, err := eng.PlanAdmissionQuery(ctx, testWorkload(), core.DefaultConfig(), AdmissionQuery{Pool: pool, SLOs: []float64{2}, MaxTenants: 0}); err == nil {
 		t.Error("maxTenants 0 must be rejected")
 	}
-	if _, err := eng.PlanAdmission(ctx, testWorkload(), core.DefaultConfig(), pool, nil, 3); err == nil {
+	if _, err := eng.PlanAdmissionQuery(ctx, testWorkload(), core.DefaultConfig(), AdmissionQuery{Pool: pool, MaxTenants: 3}); err == nil {
 		t.Error("empty SLO list must be rejected")
 	}
-	if _, err := eng.PlanAdmission(ctx, testWorkload(), core.DefaultConfig(), pool, []float64{0.9}, 3); err == nil {
+	if _, err := eng.PlanAdmissionQuery(ctx, testWorkload(), core.DefaultConfig(), AdmissionQuery{Pool: pool, SLOs: []float64{0.9}, MaxTenants: 3}); err == nil {
 		t.Error("sub-1 slowdown SLO must be rejected")
 	}
 	for _, q := range []AdmissionQuery{
@@ -76,7 +76,7 @@ func TestPlanAdmission(t *testing.T) {
 	pool := PoolConfig{Cores: 2, Policy: PolicyLeastLag}
 	slos := []float64{1.05, 2.0, 1e9}
 	const maxN = 5
-	points, err := eng.PlanAdmission(context.Background(), testWorkload(), core.DefaultConfig(), pool, slos, maxN)
+	points, err := eng.PlanAdmissionQuery(context.Background(), testWorkload(), core.DefaultConfig(), AdmissionQuery{Pool: pool, SLOs: slos, MaxTenants: maxN})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestPropertyBisectionMatchesLinearScanAllPolicies(t *testing.T) {
 			}
 		}
 
-		points, err := eng.PlanAdmission(ctx, testWorkload(), core.DefaultConfig(), pool, slos, maxN)
+		points, err := eng.PlanAdmissionQuery(ctx, testWorkload(), core.DefaultConfig(), AdmissionQuery{Pool: pool, SLOs: slos, MaxTenants: maxN})
 		if err != nil {
 			t.Fatal(err)
 		}

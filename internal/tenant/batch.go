@@ -6,7 +6,7 @@ package tenant
 // structures (a maintained core order, a frozen-rivals virtual-time rank)
 // the built-in policies use to implement it. The replay half — run
 // discovery in the virtual-time merge — lives in pool.go. The per-record
-// path (Dispatch​PerRecord) never calls anything here; it is the
+// reference (ReplayPoolReference) never calls anything here; it is the
 // differential oracle the batch path is pinned against, byte for byte, by
 // TestBatchedDispatchMatchesPerRecord.
 

@@ -29,16 +29,19 @@ func benchSuiteProfiles(b *testing.B, n, scale int) []*Profile {
 	return profiles
 }
 
-// benchReplay measures one (policy, dispatch) cell: wall time per replay
-// with allocation counts, plus the replayed record count as a metric so
-// ns/record is derivable from the output.
-func benchReplay(b *testing.B, profiles []*Profile, policy string, mode Dispatch) {
+// replayFunc is a replay entry point: ReplayPool or ReplayPoolReference.
+type replayFunc func(context.Context, []*Profile, PoolConfig) (*PoolResult, error)
+
+// benchReplay measures one (policy, replay path) cell: wall time per
+// replay with allocation counts, plus the replayed record count as a
+// metric so ns/record is derivable from the output.
+func benchReplay(b *testing.B, profiles []*Profile, policy string, replay replayFunc) {
 	pool := PoolConfig{Cores: 2, Policy: policy, MigrationPenalty: 320}
 	var records uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ReplayPool(profiles, pool, mode)
+		res, err := replay(context.Background(), profiles, pool)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -51,22 +54,23 @@ func benchReplay(b *testing.B, profiles []*Profile, policy string, mode Dispatch
 }
 
 // BenchmarkReplay pins the per-policy replay cost on the 4-tenant suite
-// for both dispatch paths. CI's bench job and `make bench` derive the
-// BENCH_replay.json trajectory from the same pairing via cmd/lbabench
-// -bench replay; see docs/performance.md.
+// for the production path and, for comparison, the per-record reference.
+// CI's bench job and `make bench` derive the BENCH_replay.json trajectory
+// from the batched cells via cmd/lbabench -bench replay; see
+// docs/performance.md.
 func BenchmarkReplay(b *testing.B) {
 	profiles := benchSuiteProfiles(b, 4, 300_000)
-	for _, mode := range []struct {
-		name string
-		mode Dispatch
+	for _, path := range []struct {
+		name   string
+		replay replayFunc
 	}{
-		{"batched", DispatchBatched},
-		{"per-record", DispatchPerRecord},
+		{"batched", ReplayPool},
+		{"per-record", ReplayPoolReference},
 	} {
-		b.Run(mode.name, func(b *testing.B) {
+		b.Run(path.name, func(b *testing.B) {
 			for _, policy := range Policies() {
 				b.Run(policy, func(b *testing.B) {
-					benchReplay(b, profiles, policy, mode.mode)
+					benchReplay(b, profiles, policy, path.replay)
 				})
 			}
 		})

@@ -26,24 +26,29 @@ func longSyntheticProfile(t *testing.T, name string, n int) *Profile {
 }
 
 // TestReplayCancelledBeforeStart pins the entry check: a context that is
-// already cancelled aborts every dispatch path (and Engine.RunPool)
-// before any merge work, returning ctx.Err() and no result.
+// already cancelled aborts every replay path — batched, sharded and the
+// per-record reference (and Engine.RunPool) — before any merge work,
+// returning ctx.Err() and no result.
 func TestReplayCancelledBeforeStart(t *testing.T) {
 	profiles := []*Profile{longSyntheticProfile(t, "a", 1000), longSyntheticProfile(t, "b", 1000)}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	for _, mode := range []Dispatch{DispatchBatched, DispatchPerRecord, DispatchSharded} {
-		pool := PoolConfig{Cores: 2, Policy: PolicyLeastLag}
-		if mode == DispatchSharded {
-			pool.Shards = 2
-		}
-		res, err := ReplayPoolContext(ctx, profiles, pool, mode)
+	for _, c := range []struct {
+		name   string
+		replay replayFunc
+		shards int
+	}{
+		{"batched", ReplayPool, 0},
+		{"per-record", ReplayPoolReference, 0},
+		{"sharded", ReplayPool, 2},
+	} {
+		res, err := c.replay(ctx, profiles, PoolConfig{Cores: 2, Policy: PolicyLeastLag, Shards: c.shards})
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("mode %d: want context.Canceled, got %v", mode, err)
+			t.Errorf("%s: want context.Canceled, got %v", c.name, err)
 		}
 		if res != nil {
-			t.Errorf("mode %d: cancelled replay must not return a result", mode)
+			t.Errorf("%s: cancelled replay must not return a result", c.name)
 		}
 	}
 
@@ -64,7 +69,7 @@ func TestReplayCancelledBeforeStart(t *testing.T) {
 func TestReplayCancelAbortsWithinWindow(t *testing.T) {
 	const window = 256
 	const cancelAt = 10
-	for _, mode := range []Dispatch{DispatchBatched, DispatchPerRecord} {
+	for _, perRecord := range []bool{false, true} {
 		profiles := []*Profile{longSyntheticProfile(t, "long", 100_000)}
 		pool := PoolConfig{Cores: 1, Policy: PolicyLeastLag, StepWindow: window}
 		ctx, cancel := context.WithCancel(context.Background())
@@ -77,16 +82,16 @@ func TestReplayCancelAbortsWithinWindow(t *testing.T) {
 			if served > cancelAt {
 				after++
 			}
-		}, mode)
+		}, perRecord)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("mode %d: want context.Canceled, got %v", mode, err)
+			t.Fatalf("perRecord=%v: want context.Canceled, got %v", perRecord, err)
 		}
 		if res != nil {
-			t.Fatalf("mode %d: cancelled replay must not return a result", mode)
+			t.Fatalf("perRecord=%v: cancelled replay must not return a result", perRecord)
 		}
 		if after > window {
-			t.Errorf("mode %d: %d records served after cancel; the refill check bounds it by the %d-step window", mode, after, window)
+			t.Errorf("perRecord=%v: %d records served after cancel; the refill check bounds it by the %d-step window", perRecord, after, window)
 		}
 	}
 }
@@ -94,12 +99,13 @@ func TestReplayCancelAbortsWithinWindow(t *testing.T) {
 // gateTimeline wraps a timeline and closes signal once `after` steps have
 // been decoded by any traversal — the deterministic hook the sharded
 // cancellation test uses to cancel only once the replay is provably in
-// flight.
+// flight. Gates that share a signal channel must share once too, so the
+// channel is closed exactly once however many gates fire.
 type gateTimeline struct {
 	inner  Timeline
 	after  int
 	signal chan struct{}
-	once   sync.Once
+	once   *sync.Once
 	mu     sync.Mutex
 	seen   int
 }
@@ -135,8 +141,9 @@ func TestShardedReplayCancelMidFlight(t *testing.T) {
 		longSyntheticProfile(t, "b", steps),
 	}
 	signal := make(chan struct{})
+	once := new(sync.Once)
 	for _, p := range profiles {
-		p.tl = &gateTimeline{inner: p.tl, after: steps / 10, signal: signal}
+		p.tl = &gateTimeline{inner: p.tl, after: steps / 10, signal: signal, once: once}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -144,7 +151,7 @@ func TestShardedReplayCancelMidFlight(t *testing.T) {
 		<-signal
 		cancel()
 	}()
-	res, err := ReplayPoolContext(ctx, profiles, PoolConfig{Cores: 2, Policy: PolicyLeastLag, Shards: 2}, DispatchSharded)
+	res, err := ReplayPool(ctx, profiles, PoolConfig{Cores: 2, Policy: PolicyLeastLag, Shards: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -165,15 +172,17 @@ func TestNegativeStepWindowRejected(t *testing.T) {
 		call func() error
 	}{
 		{"ReplayPool/batched", func() error {
-			_, err := ReplayPool(profiles, pool, DispatchBatched)
+			_, err := ReplayPool(context.Background(), profiles, pool)
 			return err
 		}},
 		{"ReplayPool/per-record", func() error {
-			_, err := ReplayPool(profiles, pool, DispatchPerRecord)
+			_, err := ReplayPoolReference(context.Background(), profiles, pool)
 			return err
 		}},
 		{"ReplayPool/sharded", func() error {
-			_, err := ReplayPool(profiles, pool, DispatchSharded)
+			sharded := pool
+			sharded.Shards = 2
+			_, err := ReplayPool(context.Background(), profiles, sharded)
 			return err
 		}},
 		{"Engine.RunPool", func() error {

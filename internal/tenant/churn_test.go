@@ -99,7 +99,7 @@ func TestChurnWindowValidation(t *testing.T) {
 	// The replay itself guards too (direct callers bypass the engine).
 	p := synthProfile("w", []step{{cycle: 10, bits: 8, cost: 2}}, 100)
 	p.Tenant.ArriveAt, p.Tenant.DepartAfter = 50, 50
-	if _, err := replay([]*Profile{p}, pool); err == nil {
+	if _, err := ReplayPool(context.Background(), []*Profile{p}, pool); err == nil {
 		t.Error("replay must reject a departure at or before the arrival")
 	}
 }
@@ -227,7 +227,7 @@ func TestChurnReplayInvariants(t *testing.T) {
 			pool := PoolConfig{Cores: cores, Policy: policy, Weights: []float64{2, 1}, MigrationPenalty: 50}
 			maxFinish := make([]uint64, len(profiles))
 			served := make([]uint64, len(profiles))
-			res, err := replayObserved(profiles, pool, func(tenant, core int, req Request, charge, finish uint64) {
+			res, err := replayMode(context.Background(), profiles, pool, func(tenant, core int, req Request, charge, finish uint64) {
 				if req.Ready < arrives[tenant] {
 					t.Errorf("%s/%dc: tenant %d served a record produced at %d, before its arrival at %d",
 						policy, cores, tenant, req.Ready, arrives[tenant])
@@ -236,7 +236,7 @@ func TestChurnReplayInvariants(t *testing.T) {
 					maxFinish[tenant] = finish
 				}
 				served[tenant]++
-			})
+			}, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -27,7 +28,7 @@ func TestDeadlineLagBoundFeasible(t *testing.T) {
 			return burstTimeline(r, 40, 20, 3000, 100, 140, 20, 60)
 		})
 		pool := PoolConfig{Cores: 2, Policy: PolicyDeadline, DeadlineCycles: deadlineCycles}
-		res, err := replay(profiles, pool)
+		res, err := ReplayPool(context.Background(), profiles, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func TestDeadlineExactBeatsTighterBound(t *testing.T) {
 	// Transport latency 30 + min cost 20 = 50: a 31-cycle bound is
 	// unmeetable for every record.
 	pool := PoolConfig{Cores: 2, Policy: PolicyDeadline, DeadlineCycles: 31}
-	res, err := replay(profiles, pool)
+	res, err := ReplayPool(context.Background(), profiles, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

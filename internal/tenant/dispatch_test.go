@@ -42,17 +42,17 @@ func dispatchSuiteProfiles(t *testing.T, n int, churn Churn) []*Profile {
 	return profiles
 }
 
-// diffDispatch replays the same inputs down both dispatch paths and
-// fails unless the results are deep-equal — the contract DispatchBatched
-// is built on: batching, incremental ranks and buffer reuse are pure
-// speedups, never visible in any output field.
+// diffDispatch replays the same inputs down the batched path and the
+// per-record reference and fails unless the results are deep-equal — the
+// contract the batched path is built on: batching, incremental ranks and
+// buffer reuse are pure speedups, never visible in any output field.
 func diffDispatch(t *testing.T, label string, profiles []*Profile, pool PoolConfig) {
 	t.Helper()
-	batched, err := ReplayPool(profiles, pool, DispatchBatched)
+	batched, err := ReplayPool(context.Background(), profiles, pool)
 	if err != nil {
 		t.Fatalf("%s: batched replay failed: %v", label, err)
 	}
-	oracle, err := ReplayPool(profiles, pool, DispatchPerRecord)
+	oracle, err := ReplayPoolReference(context.Background(), profiles, pool)
 	if err != nil {
 		t.Fatalf("%s: per-record replay failed: %v", label, err)
 	}
@@ -124,12 +124,12 @@ func TestBatchedReplaySteadyStateAllocs(t *testing.T) {
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// Warm the arena pool and the warmth factor memo.
-	if _, err := ReplayPool(profiles, pool, DispatchBatched); err != nil {
+	if _, err := ReplayPool(context.Background(), profiles, pool); err != nil {
 		t.Fatal(err)
 	}
 	const ceiling = 30.0
 	got := testing.AllocsPerRun(5, func() {
-		if _, err := ReplayPool(profiles, pool, DispatchBatched); err != nil {
+		if _, err := ReplayPool(context.Background(), profiles, pool); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -100,7 +100,7 @@ func (e *Engine) RunPool(ctx context.Context, tenants []Tenant, pool PoolConfig)
 	// Reject a malformed decode window before any profiling runs, like
 	// the per-tenant window validation below (and unlike the silent
 	// coercion to DefaultStepWindow this replaces).
-	if err := validateStepWindow(pool.StepWindow); err != nil {
+	if err := ValidateStepWindow(pool.StepWindow); err != nil {
 		return nil, err
 	}
 	for _, t := range tenants {
@@ -125,7 +125,7 @@ func (e *Engine) RunPool(ctx context.Context, tenants []Tenant, pool PoolConfig)
 			profiles[i] = &p
 		}
 	}
-	return replayCtx(ctx, profiles, pool)
+	return ReplayPool(ctx, profiles, pool)
 }
 
 // RunMatrix simulates the tenant set against every pool configuration,

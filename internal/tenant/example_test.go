@@ -131,10 +131,10 @@ func ExampleEngine_RunPool() {
 	// monitoring slows tenants down: true
 }
 
-// Engine.RunPool serves every replay down the batched dispatch fast
-// path; the per-record oracle path exists to be measured and diffed
-// against. The two are pinned byte-identical, so switching paths can
-// never change a result — only how fast it arrives.
+// Engine.RunPool serves every replay through ReplayPool, the batched
+// production path; ReplayPoolReference, the per-record reference, exists
+// to be diffed against. The two are pinned byte-identical, so the
+// batching can never change a result — only how fast it arrives.
 func ExampleEngine_RunPool_batched() {
 	eng := tenant.NewEngine(1, nil)
 	set, err := tenant.FromSuite(2, workloads.Config{Scale: 40_000}, core.DefaultConfig())
@@ -149,11 +149,11 @@ func ExampleEngine_RunPool_batched() {
 	}
 
 	pool := tenant.PoolConfig{Cores: 2, Policy: tenant.PolicyWFQ, MigrationPenalty: 320}
-	batched, err := tenant.ReplayPool(profiles, pool, tenant.DispatchBatched)
+	batched, err := tenant.ReplayPool(context.Background(), profiles, pool)
 	if err != nil {
 		log.Fatal(err)
 	}
-	oracle, err := tenant.ReplayPool(profiles, pool, tenant.DispatchPerRecord)
+	oracle, err := tenant.ReplayPoolReference(context.Background(), profiles, pool)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -44,10 +45,10 @@ func TestPropertyWFQFairness(t *testing.T) {
 			return burstTimeline(r, 50, 25, 4000, 35, 45, 12, 20)
 		})
 		servedBits := make([]uint64, n)
-		res, err := replayObserved(profiles, PoolConfig{Cores: 2, Policy: PolicyWFQ, Weights: weights},
+		res, err := replayMode(context.Background(), profiles, PoolConfig{Cores: 2, Policy: PolicyWFQ, Weights: weights},
 			func(tenant, core int, req Request, charge, finish uint64) {
 				servedBits[tenant] += req.Bits
-			})
+			}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,11 +111,11 @@ func TestPropertyConservationAllPolicies(t *testing.T) {
 			Weights: []float64{4, 1}, Tiers: []int{0, 1}, MigrationPenalty: 40}
 		records := make([]uint64, len(profiles))
 		bits := make([]uint64, len(profiles))
-		if _, err := replayObserved(profiles, pool,
+		if _, err := replayMode(context.Background(), profiles, pool,
 			func(tenant, core int, req Request, charge, finish uint64) {
 				records[tenant]++
 				bits[tenant] += req.Bits
-			}); err != nil {
+			}, false); err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}
 		for i, p := range profiles {

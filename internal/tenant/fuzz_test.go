@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -360,7 +361,7 @@ func FuzzReplayInvariants(f *testing.F) {
 				// of every record is known so channel release can be
 				// checked against the drain rule below.
 				maxFinish := make([]uint64, len(profiles))
-				res, err := replayObserved(profiles, pool, func(tenant, core int, req Request, charge, finish uint64) {
+				res, err := replayMode(context.Background(), profiles, pool, func(tenant, core int, req Request, charge, finish uint64) {
 					if req.Ready < profiles[tenant].Tenant.ArriveAt {
 						t.Errorf("%s: tenant %d served at %d before its arrival at %d",
 							policy, tenant, req.Ready, profiles[tenant].Tenant.ArriveAt)
@@ -368,7 +369,7 @@ func FuzzReplayInvariants(f *testing.F) {
 					if finish > maxFinish[tenant] {
 						maxFinish[tenant] = finish
 					}
-				})
+				}, false)
 				if err != nil {
 					t.Fatalf("%s: replay failed on valid input: %v", policy, err)
 				}
@@ -380,7 +381,7 @@ func FuzzReplayInvariants(f *testing.F) {
 				}
 				checkReplayInvariants(t, policy, profiles, pool, res, totalCost)
 
-				again, err := replay(profiles, pool)
+				again, err := ReplayPool(context.Background(), profiles, pool)
 				if err != nil {
 					t.Fatalf("%s: second replay failed: %v", policy, err)
 				}
@@ -409,7 +410,7 @@ func FuzzReplayInvariants(f *testing.F) {
 		for pi, migration := range penalties {
 			pool := PoolConfig{Cores: cores, Policy: PolicyRoundRobin,
 				MigrationPenalty: migration, WarmthHalfLifeBytes: 256}
-			res, err := replay(profiles, pool)
+			res, err := ReplayPool(context.Background(), profiles, pool)
 			if err != nil {
 				t.Fatalf("round-robin: replay failed: %v", err)
 			}

@@ -50,11 +50,10 @@ type PoolConfig struct {
 	// Shards partitions the pool's cores (and its tenants, balanced by
 	// profiled lifeguard load) into that many sub-pools, each replayed
 	// independently on its own goroutine and deterministically merged —
-	// the static-partitioning regime, reached through ReplayPool's
-	// DispatchSharded or directly by Engine.RunPool when > 1. 0 and 1 both
-	// select the single global pool (byte-identical to DispatchBatched);
-	// values above min(Cores, tenants) are clamped down to it. See
-	// shard.go for the partitioning and merge contract.
+	// the static-partitioning regime ReplayPool and Engine.RunPool take
+	// when > 1. 0 and 1 both select the single global pool (the batched
+	// replay, byte for byte); values above min(Cores, tenants) are clamped
+	// down to it. See shard.go for the partitioning and merge contract.
 	Shards int `json:"shards,omitempty"`
 	// StepWindow is the decoded-step window size (steps per refill) the
 	// streaming replay reads each tenant's encoded timeline through; 0
@@ -266,7 +265,7 @@ type PoolResult struct {
 	// Shards is the effective sub-pool count of a sharded replay, set
 	// only when the replay actually partitioned (>= 2): a 1-shard replay
 	// is the global batched replay and its result — this field included —
-	// is identical to DispatchBatched's.
+	// is identical to the unsharded one.
 	Shards int
 }
 
@@ -379,106 +378,35 @@ func (ts *tenantState) activeApp() uint64 {
 	return app
 }
 
-// churnLimit returns how many leading steps of the profile fall inside the
-// tenant's active window: every step whose shifted cycle is at most the
-// departure cycle. Steps are in non-decreasing cycle order, so the window
-// is a prefix. The streaming replay applies the same cut inside
-// stepCursor.fill; this materialised form remains the test tier's oracle.
-func churnLimit(steps []step, arrive, depart uint64) int {
-	if depart == 0 {
-		return len(steps)
-	}
-	return sort.Search(len(steps), func(i int) bool { return steps[i].cycle+arrive > depart })
-}
-
-// Dispatch selects the replay's record-dispatch path; see ReplayPool.
-type Dispatch int
-
-const (
-	// DispatchBatched is the production fast path: the merge groups
-	// consecutive records of one tenant into runs, schedulers that
-	// implement BatchPicker amortise their ranking over each run, and a
-	// pooled arena reuses the replay's working memory. Byte-identical to
-	// DispatchPerRecord by construction (and by differential test).
-	DispatchBatched Dispatch = iota
-	// DispatchPerRecord is the pre-optimization reference path and the
-	// fast path's differential oracle: one scheduler Pick per record with
-	// a full view refresh and re-ranking from scratch, fresh buffers, no
-	// arena, no factor memo. Benchmarks report the fast path's speedup
-	// against it.
-	DispatchPerRecord
-	// DispatchSharded is the multi-core path: the pool's cores and
-	// tenants are partitioned into PoolConfig.Shards sub-pools, each
-	// replayed with DispatchBatched on its own goroutine, and the
-	// per-shard results deterministically merged (shard.go). One shard is
-	// exactly the global batched replay, byte for byte; two or more model
-	// *static partitioning* — each sub-pool schedules only its own
-	// tenants, which is what makes the shards independent and the replay
-	// parallel. The merge is pinned byte-identical to a serial replay of
-	// the same shards regardless of GOMAXPROCS, and the 1-shard case is
-	// pinned deep-equal to DispatchBatched by the differential suite.
-	DispatchSharded
-)
-
 // ReplayPool replays already-built profiles (Engine.Profile) against one
-// pool configuration under the chosen dispatch path. Arrival/departure
-// windows are read from each profile's Tenant description.
-// DispatchBatched and DispatchPerRecord return byte-identical results;
-// DispatchPerRecord exists as the differential oracle and benchmark
-// baseline (see docs/performance.md), and DispatchSharded partitions the
-// replay across goroutines (identical to DispatchBatched at one shard;
-// static-partitioning semantics above that — see shard.go). Production
-// callers want Engine.RunPool instead.
-func ReplayPool(profiles []*Profile, pool PoolConfig, mode Dispatch) (*PoolResult, error) {
-	return replayMode(context.Background(), profiles, pool, nil, mode)
-}
-
-// ReplayPoolContext is ReplayPool under a cancellable context: a
-// cancelled ctx aborts the replay at the next decode-window refill (the
-// check sits off the per-record path, so cancellation costs nothing in
-// the steady state) and the call returns ctx.Err(). A replay that
-// observes a cancelled context never returns a result — long-running
-// callers (the lbad serving daemon's control loop) rely on both halves.
-func ReplayPoolContext(ctx context.Context, profiles []*Profile, pool PoolConfig, mode Dispatch) (*PoolResult, error) {
-	return replayMode(ctx, profiles, pool, nil, mode)
-}
-
-// replay merges the tenants' uncontended timelines in virtual time and
-// serves them from the shared pool. It is deterministic: the only inputs
-// are the profiles (immutable) and the pool configuration — a PoolConfig
-// asking for two or more shards takes the sharded path, whose merge is
-// byte-identical regardless of scheduling interleavings. Arrival/
-// departure windows are read from each profile's Tenant description
-// (Engine.RunPool overlays the caller's windows onto the memoized,
-// window-free profiles before calling in).
-func replay(profiles []*Profile, pool PoolConfig) (*PoolResult, error) {
-	return replayCtx(context.Background(), profiles, pool)
-}
-
-// replayCtx is replay under a cancellable context (see ReplayPoolContext
-// for the abort contract).
-func replayCtx(ctx context.Context, profiles []*Profile, pool PoolConfig) (*PoolResult, error) {
+// pool configuration: the batched production path, or — when
+// pool.Shards > 1 — the sharded path, whose sub-pools are each replayed
+// batched on their own goroutine and merged deterministically (shard.go;
+// one shard is the batched replay, byte for byte). Arrival/departure
+// windows are read from each profile's Tenant description (Engine.RunPool
+// overlays the caller's windows onto the memoized, window-free profiles
+// before calling in). A cancelled ctx aborts the replay at the next
+// decode-window refill (the check sits off the per-record path, so
+// cancellation costs nothing in the steady state) and the call returns
+// ctx.Err(); a replay that observes a cancelled context never returns a
+// result — the lbad serving daemon's control loop relies on both halves.
+func ReplayPool(ctx context.Context, profiles []*Profile, pool PoolConfig) (*PoolResult, error) {
 	if pool.Shards > 1 || pool.Shards < 0 {
 		return replaySharded(ctx, profiles, pool, true)
 	}
-	return replayMode(ctx, profiles, pool, nil, DispatchBatched)
+	return replayMode(ctx, profiles, pool, nil, false)
 }
 
-// replayObserved is replay with an optional per-record observer, invoked
-// after each record is assigned with the producing tenant, the serving
-// core, the request, the migration charge and the lifeguard-side finish
-// cycle. The property-test tier uses it to watch service unfold (e.g.
-// bytes finished by a wall-clock horizon); production callers pass nil
-// and pay nothing.
-func replayObserved(profiles []*Profile, pool PoolConfig, obs func(tenant, core int, req Request, charge, finish uint64)) (*PoolResult, error) {
-	return replayMode(context.Background(), profiles, pool, obs, DispatchBatched)
-}
-
-// replayObservedCtx is replayObserved under a cancellable context; the
-// cancellation test tier uses the observer to cancel mid-replay at an
-// exact record count.
-func replayObservedCtx(ctx context.Context, profiles []*Profile, pool PoolConfig, obs func(tenant, core int, req Request, charge, finish uint64)) (*PoolResult, error) {
-	return replayMode(ctx, profiles, pool, obs, DispatchBatched)
+// ReplayPoolReference is the per-record reference replay of a single,
+// unsharded pool: one scheduler Pick per record with a full view refresh
+// and re-ranking from scratch, fresh buffers, no arena. It is the
+// differential oracle ReplayPool's batched path is pinned deep-equal
+// against (the go-test tier and the harness's check_differential), not a
+// production path. A pool asking for two or more shards is rejected:
+// static partitioning is a different scheduling point, with no
+// per-record reference.
+func ReplayPoolReference(ctx context.Context, profiles []*Profile, pool PoolConfig) (*PoolResult, error) {
+	return replayMode(ctx, profiles, pool, nil, true)
 }
 
 // replayArena is one replay's reusable working memory. Replays run per
@@ -488,9 +416,8 @@ func replayObservedCtx(ctx context.Context, profiles []*Profile, pool PoolConfig
 // allocations to near zero. Reuse is invisible by construction: every
 // slice is re-dimensioned and overwritten in setup, channels go through
 // logbuf.Channel.Reset, and the warmth model through warmthModel.reset —
-// each documented to restore as-new state. The per-record oracle path
-// never uses an arena (fresh allocations are part of the baseline it
-// preserves).
+// each documented to restore as-new state. The per-record reference
+// never uses an arena, so the differential tests pin that reuse invisible.
 type replayArena struct {
 	states   []tenantState
 	views    []TenantView
@@ -512,7 +439,7 @@ type replayer struct {
 	pool    PoolConfig
 	sched   Scheduler
 	batch   BatchPicker // non-nil only on the batched path when sched opts in
-	obs     func(tenant, core int, req Request, charge, finish uint64)
+	obs     observer
 	churned bool
 
 	// Cancellation: ctx's done channel, checked at decode-window refill
@@ -534,17 +461,25 @@ type replayer struct {
 	ring     *windowRing // decoded-step windows (arena-backed on the batched path)
 }
 
-func replayMode(ctx context.Context, profiles []*Profile, pool PoolConfig, obs func(tenant, core int, req Request, charge, finish uint64), mode Dispatch) (*PoolResult, error) {
-	if mode == DispatchSharded {
-		if obs != nil {
-			return nil, fmt.Errorf("tenant: per-record observers are not supported under sharded dispatch")
-		}
-		return replaySharded(ctx, profiles, pool, true)
+// observer is an optional per-record hook, invoked after each record is
+// assigned with the producing tenant, the serving core, the request, the
+// migration charge and the lifeguard-side finish cycle. The property and
+// cancellation test tiers pass one to replayMode to watch service unfold;
+// production replays pass nil and pay one nil comparison per record.
+type observer func(tenant, core int, req Request, charge, finish uint64)
+
+// replayMode replays one global pool down the batched path, or down the
+// per-record reference path when perRecord is set. Sharding is
+// ReplayPool's routing, so a pool asking for two or more shards is
+// rejected here rather than silently replayed as one pool.
+func replayMode(ctx context.Context, profiles []*Profile, pool PoolConfig, obs observer, perRecord bool) (*PoolResult, error) {
+	if pool.Shards > 1 || pool.Shards < 0 {
+		return nil, fmt.Errorf("tenant: the single-pool replay takes Shards 0 or 1, got %d (ReplayPool partitions sharded pools)", pool.Shards)
 	}
 	if pool.Cores < 1 {
 		return nil, fmt.Errorf("tenant: pool needs at least one core, got %d", pool.Cores)
 	}
-	if err := validateStepWindow(pool.StepWindow); err != nil {
+	if err := ValidateStepWindow(pool.StepWindow); err != nil {
 		return nil, err
 	}
 	if len(profiles) == 0 {
@@ -558,7 +493,7 @@ func replayMode(ctx context.Context, profiles []*Profile, pool PoolConfig, obs f
 		return nil, err
 	}
 	r := replayer{pool: pool, sched: sched, obs: obs, ctx: ctx, done: ctx.Done()}
-	if mode != DispatchPerRecord {
+	if !perRecord {
 		if bp, ok := sched.(BatchPicker); ok {
 			r.batch = bp
 		}
@@ -568,7 +503,7 @@ func replayMode(ctx context.Context, profiles []*Profile, pool PoolConfig, obs f
 	if err := r.setup(profiles); err != nil {
 		return nil, err
 	}
-	if mode == DispatchPerRecord {
+	if perRecord {
 		err = r.runPerRecord()
 	} else {
 		err = r.runBatched()
@@ -591,12 +526,13 @@ func replayMode(ctx context.Context, profiles []*Profile, pool PoolConfig, obs f
 	return r.finish(), nil
 }
 
-// validateStepWindow rejects a negative decode-window size up front; 0
-// selects DefaultStepWindow (see PoolConfig.StepWindow). Before this
-// check existed a negative window was silently coerced to the default by
-// stepWindow()'s > 0 test — the same class of silent repair the Shards
-// and -pool boundaries already refuse.
-func validateStepWindow(window int) error {
+// ValidateStepWindow rejects a negative decode-window size (see
+// PoolConfig.StepWindow; 0 selects DefaultStepWindow) instead of letting
+// stepWindow()'s > 0 test silently coerce it to the default. Every
+// boundary a window enters through — the replay entry points,
+// Engine.RunPool, the lbad server and the commands' -window flags —
+// shares this one check.
+func ValidateStepWindow(window int) error {
 	if window < 0 {
 		return fmt.Errorf("tenant: pool step window must be >= 0 (0 selects the %d-step default), got %d", DefaultStepWindow, window)
 	}
@@ -620,7 +556,7 @@ func (r *replayer) cancelled() bool {
 
 // setup dimensions the replay state for the profiles, drawing working
 // memory from the arena when one is attached (batched path) and
-// allocating fresh otherwise (per-record oracle).
+// allocating fresh otherwise (per-record reference).
 func (r *replayer) setup(profiles []*Profile) error {
 	n := len(profiles)
 	if a := r.arena; a != nil {
@@ -683,10 +619,6 @@ func (r *replayer) setup(profiles []*Profile) error {
 		r.warmth.reset(r.pool.Cores, n, r.pool.WarmthHalfLifeBytes, r.pool.WarmthIdleHalfLifeCycles)
 	} else {
 		r.warmth = newWarmthModel(r.pool.Cores, n, r.pool.WarmthHalfLifeBytes, r.pool.WarmthIdleHalfLifeCycles)
-		// The oracle keeps the pre-optimization cost profile (direct
-		// Exp2, branchy decay, library rounding). Bit-identical either
-		// way; see warmthModel.legacy.
-		r.warmth.legacy = true
 	}
 	if cap(r.cores) < r.pool.Cores {
 		r.cores = make([]CoreView, r.pool.Cores)
@@ -803,9 +735,7 @@ func (r *replayer) refresh(ti int) {
 // per-record accounting: runBatched carries a hand-inlined copy (fused
 // warmth pass, hoisted state) that must stay in lockstep with it, and the
 // differential dispatch test pins the two byte-identical. Only
-// runPerRecord calls it, so the warmth model is in legacy mode here (see
-// warmthModel.legacy) — idle decay is new with churned replays and has no
-// legacy variant; both paths share the one method.
+// runPerRecord calls it.
 func (r *replayer) commit(ti, core int, now uint64, req Request) error {
 	if core < 0 || core >= r.pool.Cores {
 		return fmt.Errorf("tenant: scheduler %s picked core %d of %d", r.sched.Name(), core, r.pool.Cores)
@@ -814,15 +744,8 @@ func (r *replayer) commit(ti, core int, now uint64, req Request) error {
 	if r.churned && now > r.cores[core].FreeAt {
 		r.warmth.idleDecay(core, now-r.cores[core].FreeAt)
 	}
-	var charge uint64
-	var migrated bool
-	if w := r.warmth; w.legacy {
-		charge = legacyMigrationCharge(r.pool.MigrationPenalty, w.warmth(core, ti))
-		migrated = w.legacyServe(core, ti, req.Bits)
-	} else {
-		charge = migrationCharge(r.pool.MigrationPenalty, w.warmth(core, ti))
-		migrated = w.serve(core, ti, req.Bits)
-	}
+	charge := migrationCharge(r.pool.MigrationPenalty, r.warmth.warmth(core, ti))
+	migrated := r.warmth.serve(core, ti, req.Bits)
 	cost := req.Cost + charge
 	stall, finish := ts.ch.ProduceAt(now, req.Bits, cost, r.cores[core].FreeAt)
 	ts.offset += stall
@@ -851,7 +774,7 @@ func (r *replayer) commit(ti, core int, now uint64, req Request) error {
 	return nil
 }
 
-// runPerRecord is the oracle merge loop: one full O(tenants) scan and
+// runPerRecord is the reference merge loop: one full O(tenants) scan and
 // one scheduler Pick (with a full view refresh) per record — the code
 // shape the replay had before the batched fast path existed.
 func (r *replayer) runPerRecord() error {
@@ -917,9 +840,7 @@ func (r *replayer) runPerRecord() error {
 // is, by construction, the one the per-record loop would have made.
 func (r *replayer) runBatched() error {
 	// Replay-stable state, hoisted so the in-run loop reloads nothing
-	// through r after opaque calls. The batched path never runs the
-	// warmth model in legacy mode (setup only sets it on the oracle), so
-	// the inlined commit below takes the fast branch unconditionally.
+	// through r after opaque calls.
 	cores, busy, views := r.cores, r.busy, r.views
 	w, penalty, obs := r.warmth, r.pool.MigrationPenalty, r.obs
 	churned := r.churned
@@ -1000,12 +921,12 @@ func (r *replayer) runBatched() error {
 				r.refresh(ti)
 				core = r.sched.Pick(req, cores, views)
 			}
-			// What follows is commit(), hand-inlined (minus the oracle's
-			// legacy branch) so the per-record accounting runs on hoisted
-			// state with no call overhead — profiling showed the call and
-			// the post-call reloads as the largest cost left in the loop.
-			// Keep it in lockstep with commit; the differential dispatch
-			// test pins the two paths byte-identical.
+			// What follows is commit(), hand-inlined so the per-record
+			// accounting runs on hoisted state with no call overhead —
+			// profiling showed the call and the post-call reloads as the
+			// largest cost left in the loop (folding it back measured up
+			// to 1.3x slower). Keep it in lockstep with commit; the
+			// differential dispatch test pins the two paths byte-identical.
 			if core < 0 || core >= len(cores) {
 				return fmt.Errorf("tenant: scheduler %s picked core %d of %d", r.sched.Name(), core, r.pool.Cores)
 			}
@@ -1069,9 +990,9 @@ func (r *replayer) runBatched() error {
 }
 
 // finish assembles the PoolResult after the merge has drained. Shared by
-// both dispatch paths, and must not retain arena-owned memory: slices
-// that outlive the replay (per-core busy cycles, the warmth snapshot)
-// are copied out.
+// the batched and per-record paths, and must not retain arena-owned
+// memory: slices that outlive the replay (per-core busy cycles, the
+// warmth snapshot) are copied out.
 func (r *replayer) finish() *PoolResult {
 	// Departing tenants whose active window held no steps at all were
 	// never touched by the merge; retire them now so every departure has

@@ -57,19 +57,13 @@ func (p *Profile) Steps() int {
 }
 
 // TimelineBytes reports the resident size of the timeline's encoded form
-// (16 B/step for a materialised slice timeline, typically ~3 B/step for
-// the segment encoding, 0 for generator-backed synthetic timelines).
+// (typically ~3 B/step for the segment encoding, 0 for generator-backed
+// synthetic timelines).
 func (p *Profile) TimelineBytes() int {
-	switch t := p.tl.(type) {
-	case nil:
-		return 0
-	case *segTimeline:
+	if t, ok := p.tl.(*segTimeline); ok {
 		return t.EncodedBytes()
-	case sliceTimeline:
-		return len(t) * 16
-	default:
-		return 0
 	}
+	return 0
 }
 
 // recorder implements core.TransportObserver by encoding steps into

@@ -540,11 +540,11 @@ func TestEmptyTimelineTenantInvisible(t *testing.T) {
 	}
 	for _, policy := range []string{PolicyWFQ, PolicyPriority} {
 		pool := PoolConfig{Cores: 2, Policy: policy}
-		without, err := replay(real, pool)
+		without, err := ReplayPool(context.Background(), real, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
-		with, err := replay(append(append([]*Profile{}, real...), empty), pool)
+		with, err := ReplayPool(context.Background(), append(append([]*Profile{}, real...), empty), pool)
 		if err != nil {
 			t.Fatal(err)
 		}

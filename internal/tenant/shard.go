@@ -7,11 +7,11 @@ import (
 	"sync"
 )
 
-// This file is the multi-core half of the replay fast path: DispatchSharded
-// partitions a pool into K sub-pools — contiguous core groups plus a
-// load-balanced tenant assignment — replays each sub-pool with the batched
-// single-core fast path on its own goroutine, and merges the per-shard
-// results into one PoolResult.
+// This file is the multi-core half of the replay fast path: ReplayPool
+// with PoolConfig.Shards > 1 partitions a pool into K sub-pools —
+// contiguous core groups plus a load-balanced tenant assignment — replays
+// each sub-pool with the batched single-core fast path on its own
+// goroutine, and merges the per-shard results into one PoolResult.
 //
 // The semantics are *static partitioning*, the regime the LBA paper itself
 // evaluates (a lifeguard core dedicated per application is the K == cores
@@ -23,8 +23,8 @@ import (
 // the global replay. The determinism contract is therefore:
 //
 //   - one shard IS the global batched replay: plan, sub-pool and result are
-//     byte-identical to DispatchBatched (pinned by the differential suite
-//     and the 1-shard cmd-level golden);
+//     byte-identical to the unsharded replay (pinned by the differential
+//     suite and the 1-shard cmd-level golden);
 //   - for K >= 2, parallel == serial: the merge of concurrently-replayed
 //     shards is byte-identical to replaying the same shards one by one
 //     (pinned by TestShardedDispatchMatchesBatched across GOMAXPROCS and
@@ -129,14 +129,14 @@ func subPool(pool PoolConfig, views []TenantView, spec shardSpec) PoolConfig {
 // parallel, or one by one in shard order (the serial oracle the
 // differential test pins the parallel path against). A plan of one shard
 // short-circuits to the global batched replay, so its result is the
-// DispatchBatched result, field for field. A cancelled ctx aborts every
+// unsharded result, field for field. A cancelled ctx aborts every
 // sub-replay at its next decode-window refill and the call returns
 // ctx.Err(), never a result.
 func replaySharded(ctx context.Context, profiles []*Profile, pool PoolConfig, parallel bool) (*PoolResult, error) {
 	if pool.Cores < 1 {
 		return nil, fmt.Errorf("tenant: pool needs at least one core, got %d", pool.Cores)
 	}
-	if err := validateStepWindow(pool.StepWindow); err != nil {
+	if err := ValidateStepWindow(pool.StepWindow); err != nil {
 		return nil, err
 	}
 	if len(profiles) == 0 {
@@ -149,7 +149,7 @@ func replaySharded(ctx context.Context, profiles []*Profile, pool PoolConfig, pa
 	if len(specs) == 1 {
 		sub := pool
 		sub.Shards = 0
-		return replayMode(ctx, profiles, sub, nil, DispatchBatched)
+		return replayMode(ctx, profiles, sub, nil, false)
 	}
 	// Fail fast on an unknown policy before spawning anything; sub-replays
 	// would each hit the same error.
@@ -166,7 +166,7 @@ func replaySharded(ctx context.Context, profiles []*Profile, pool PoolConfig, pa
 		for j, t := range spec.tenants {
 			subProfiles[j] = profiles[t]
 		}
-		results[s], errs[s] = replayMode(ctx, subProfiles, subPool(pool, views, spec), nil, DispatchBatched)
+		results[s], errs[s] = replayMode(ctx, subProfiles, subPool(pool, views, spec), nil, false)
 	}
 	if parallel {
 		var wg sync.WaitGroup

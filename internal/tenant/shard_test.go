@@ -35,10 +35,11 @@ func shardSuites(t *testing.T) []struct {
 // determinism contract, for every registered policy across the dispatch
 // differential corpus, shard counts 1-4 and the migration model off/on:
 //
-//   - one shard IS the global batched replay: DispatchSharded at Shards 1
-//     is deep-equal to DispatchBatched on the unsharded pool, field for
-//     field (so `-shards 1` artifacts are byte-identical to unsharded
-//     ones);
+//   - one shard IS the global batched replay: a plan of one shard —
+//     Shards 1 through the planner, or Shards 2 clamped to one plan by a
+//     single core — is deep-equal to ReplayPool on the unsharded pool,
+//     field for field (so `-shards 1` artifacts are byte-identical to
+//     unsharded ones);
 //   - parallel == serial: for K >= 2 the concurrently-replayed shards
 //     merge to a result deep-equal to replaying the same plan one shard
 //     at a time. K >= 2 is static partitioning — a different scheduling
@@ -63,23 +64,31 @@ func TestShardedDispatchMatchesBatched(t *testing.T) {
 						}
 						label := policy + "/shards=" + strconv.Itoa(shards)
 
-						sharded, err := ReplayPool(s.profiles, pool, DispatchSharded)
+						if shards == 1 {
+							// ReplayPool sends Shards 1 straight to the
+							// unsharded replay, so drive the planner and its
+							// one-plan short-circuit directly.
+							one, err := replaySharded(context.Background(), s.profiles, pool, true)
+							if err != nil {
+								t.Fatalf("%s: one-shard replay failed: %v", label, err)
+							}
+							assertOnePlanIsBatched(t, label, s.profiles, pool, one)
+							continue
+						}
+						sharded, err := ReplayPool(context.Background(), s.profiles, pool)
 						if err != nil {
 							t.Fatalf("%s: sharded replay failed: %v", label, err)
 						}
-						if shards == 1 {
-							flat := pool
-							flat.Shards = 0
-							batched, err := ReplayPool(s.profiles, flat, DispatchBatched)
+						if shards == 2 {
+							// A single core clamps the plan to one shard:
+							// the route lbad takes at -shards 2 on Cores 1.
+							clamped := pool
+							clamped.Cores = 1
+							one, err := ReplayPool(context.Background(), s.profiles, clamped)
 							if err != nil {
-								t.Fatalf("%s: batched replay failed: %v", label, err)
+								t.Fatalf("%s: clamped replay failed: %v", label, err)
 							}
-							if !reflect.DeepEqual(sharded, batched) {
-								a, _ := json.Marshal(sharded)
-								b, _ := json.Marshal(batched)
-								t.Errorf("%s: one-shard replay diverges from batched\nsharded: %s\nbatched: %s", label, a, b)
-							}
-							continue
+							assertOnePlanIsBatched(t, label+"/cores=1", s.profiles, clamped, one)
 						}
 						serial, err := replaySharded(context.Background(), s.profiles, pool, false)
 						if err != nil {
@@ -106,6 +115,23 @@ func TestShardedDispatchMatchesBatched(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// assertOnePlanIsBatched checks that a replay whose shard plan collapsed
+// to one shard is deep-equal to the unsharded replay of the same pool.
+func assertOnePlanIsBatched(t *testing.T, label string, profiles []*Profile, pool PoolConfig, one *PoolResult) {
+	t.Helper()
+	flat := pool
+	flat.Shards = 0
+	batched, err := ReplayPool(context.Background(), profiles, flat)
+	if err != nil {
+		t.Fatalf("%s: batched replay failed: %v", label, err)
+	}
+	if !reflect.DeepEqual(one, batched) {
+		a, _ := json.Marshal(one)
+		b, _ := json.Marshal(batched)
+		t.Errorf("%s: one-shard replay diverges from batched\nsharded: %s\nbatched: %s", label, a, b)
 	}
 }
 
@@ -172,10 +198,10 @@ func TestShardPlan(t *testing.T) {
 	if _, err := planShards(profiles, PoolConfig{Cores: 2, Shards: -1}); err == nil {
 		t.Error("negative shard count should be rejected")
 	}
-	if _, err := ReplayPool(profiles, PoolConfig{Cores: 2, Policy: PolicyLeastLag, Shards: -1}, DispatchSharded); err == nil {
+	if _, err := ReplayPool(context.Background(), profiles, PoolConfig{Cores: 2, Policy: PolicyLeastLag, Shards: -1}); err == nil {
 		t.Error("negative shard count should be rejected by the replay entry point")
 	}
-	if _, err := ReplayPool(profiles, PoolConfig{Cores: 4, Policy: "nope", Shards: 2}, DispatchSharded); err == nil {
+	if _, err := ReplayPool(context.Background(), profiles, PoolConfig{Cores: 4, Policy: "nope", Shards: 2}); err == nil {
 		t.Error("unknown policy should fail before any shard replays")
 	}
 }
@@ -190,7 +216,7 @@ func TestShardedResultShape(t *testing.T) {
 	profiles := dispatchSuiteProfiles(t, 4, Churn{})
 	pool := PoolConfig{Cores: 4, Policy: PolicyAffinity, MigrationPenalty: 320, Shards: 2}
 
-	res, err := ReplayPool(profiles, pool, DispatchSharded)
+	res, err := ReplayPool(context.Background(), profiles, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,16 +248,22 @@ func TestShardedResultShape(t *testing.T) {
 
 	flat := pool
 	flat.Shards = 1
-	one, err := ReplayPool(profiles, flat, DispatchSharded)
+	one, err := replaySharded(context.Background(), profiles, flat, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if one.Shards != 0 {
 		t.Errorf("one-shard replay reports Shards = %d; the echo marks actual partitioning", one.Shards)
 	}
+	clamped, err := ReplayPool(context.Background(), profiles[:1], pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clamped.Shards != 0 {
+		t.Errorf("one-tenant replay at Shards 2 reports Shards = %d; the plan clamps to one shard", clamped.Shards)
+	}
 
-	obs := func(int, int, Request, uint64, uint64) {}
-	if _, err := replayMode(context.Background(), profiles, pool, obs, DispatchSharded); err == nil {
-		t.Error("per-record observer should be rejected under sharded dispatch")
+	if _, err := ReplayPoolReference(context.Background(), profiles, pool); err == nil {
+		t.Error("the per-record reference should reject a sharded pool")
 	}
 }

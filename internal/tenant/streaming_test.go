@@ -1,14 +1,81 @@
 package tenant
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"testing"
 )
+
+// sliceTimeline is the materialised []step timeline — the pre-streaming
+// representation, kept as the differential oracle the encoded path is
+// pinned byte-identical against (and as the cheap way for tests to build
+// hand-written timelines).
+type sliceTimeline []step
+
+func (t sliceTimeline) Len() int { return len(t) }
+
+func (t sliceTimeline) Open() StepSource { s := sliceSource(t); return &s }
+
+type sliceSource []step
+
+func (s *sliceSource) Next(dst []step) int {
+	n := copy(dst, *s)
+	*s = (*s)[n:]
+	return n
+}
+
+// encodeSteps round-trips a materialised timeline into the segment
+// encoding — the test tier's bridge between the slice oracle and the
+// streaming path (segSteps <= 0 selects the production segment size).
+func encodeSteps(steps []step, segSteps int) (Timeline, error) {
+	enc := timelineEncoder{segSteps: segSteps}
+	for _, s := range steps {
+		if s.bits != drainMark && uint64(s.bits) > maxStepBits {
+			return nil, fmt.Errorf("tenant: step bits %d exceed the width contract (max %d)", s.bits, maxStepBits)
+		}
+		if err := enc.append(s); err != nil {
+			return nil, err
+		}
+	}
+	return enc.finish(), nil
+}
+
+// materialise decodes a timeline into one contiguous []step — the test
+// tier's bridge back to the pre-streaming representation. Replay code
+// never calls it.
+func materialise(tl Timeline) []step {
+	if tl == nil {
+		return nil
+	}
+	out := make([]step, 0, tl.Len())
+	var win [256]step
+	src := tl.Open()
+	for {
+		n := src.Next(win[:])
+		if n == 0 {
+			return out
+		}
+		out = append(out, win[:n]...)
+	}
+}
+
+// churnLimit returns how many leading steps of the profile fall inside the
+// tenant's active window: every step whose shifted cycle is at most the
+// departure cycle. Steps are in non-decreasing cycle order, so the window
+// is a prefix. The streaming replay applies the same cut inside
+// stepCursor.fill; this materialised form is the test tier's oracle.
+func churnLimit(steps []step, arrive, depart uint64) int {
+	if depart == 0 {
+		return len(steps)
+	}
+	return sort.Search(len(steps), func(i int) bool { return steps[i].cycle+arrive > depart })
+}
 
 // withTimeline returns a shallow profile copy replaying the given
 // timeline representation — the streaming differential tier swaps
@@ -85,11 +152,20 @@ func TestStreamingReplayMatchesMaterialised(t *testing.T) {
 						}
 						streaming := materialised
 						streaming.StepWindow = 5
-						want, err := ReplayPool(slice, materialised, DispatchSharded)
+						want, err := ReplayPool(context.Background(), slice, materialised)
 						if err != nil {
 							t.Fatalf("%s: materialised replay: %v", label, err)
 						}
-						got, err := ReplayPool(stream, streaming, DispatchSharded)
+						replay := ReplayPool
+						if shards == 1 {
+							// ReplayPool sends Shards 1 straight to the
+							// unsharded replay; go through the planner so its
+							// one-plan short-circuit streams too.
+							replay = func(ctx context.Context, p []*Profile, pool PoolConfig) (*PoolResult, error) {
+								return replaySharded(ctx, p, pool, true)
+							}
+						}
+						got, err := replay(context.Background(), stream, streaming)
 						if err != nil {
 							t.Fatalf("%s: streaming replay: %v", label, err)
 						}
@@ -99,7 +175,7 @@ func TestStreamingReplayMatchesMaterialised(t *testing.T) {
 							t.Errorf("%s: streaming and materialised results diverge\nstreaming:    %s\nmaterialised: %s", label, a, b)
 						}
 						if shards == 1 {
-							oracle, err := ReplayPool(slice, materialised, DispatchPerRecord)
+							oracle, err := ReplayPoolReference(context.Background(), slice, materialised)
 							if err != nil {
 								t.Fatalf("%s: per-record replay: %v", label, err)
 							}
@@ -318,12 +394,12 @@ func TestStreamingArenaWindowReuse(t *testing.T) {
 	profiles := streamSuite(false)
 	pool := PoolConfig{Cores: 2, Policy: PolicyLeastLag, StepWindow: 8}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if _, err := ReplayPool(profiles, pool, DispatchBatched); err != nil {
+	if _, err := ReplayPool(context.Background(), profiles, pool); err != nil {
 		t.Fatal(err)
 	}
 	const ceiling = 30.0
 	got := testing.AllocsPerRun(5, func() {
-		if _, err := ReplayPool(profiles, pool, DispatchBatched); err != nil {
+		if _, err := ReplayPool(context.Background(), profiles, pool); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -367,7 +443,7 @@ func TestSyntheticProfileHeapBounded(t *testing.T) {
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := ReplayPool([]*Profile{p}, pool, DispatchBatched)
+		res, err := ReplayPool(context.Background(), []*Profile{p}, pool)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -463,11 +539,11 @@ func FuzzStreamingWindows(f *testing.F) {
 		materialised := PoolConfig{Cores: 2, Policy: PolicyLeastLag, MigrationPenalty: 64, StepWindow: 1 << 16}
 		streaming := materialised
 		streaming.StepWindow = window
-		wantRes, err := ReplayPool(slice, materialised, DispatchBatched)
+		wantRes, err := ReplayPool(context.Background(), slice, materialised)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRes, err := ReplayPool(stream, streaming, DispatchBatched)
+		gotRes, err := ReplayPool(context.Background(), stream, streaming)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,33 +83,33 @@
 //
 // # Admission control
 //
-// On top of the replay, Engine.PlanAdmission answers the serving-capacity
-// question: the maximum tenant count a pool can serve while every
-// tenant's contention factor (wall cycles over its own dedicated-core
-// monitored run) stays within an SLO. PlanAdmissionQuery generalises it
-// to churned populations, repeated-seed confidence bands, and a
-// monotone-envelope bisection that probes O(log N) tenant counts with a
-// verified fallback to the exhaustive scan when the probed envelope is
+// On top of the replay, Engine.PlanAdmissionQuery answers the
+// serving-capacity question: the maximum tenant count a pool can serve
+// while every tenant's contention factor (wall cycles over its own
+// dedicated-core monitored run) stays within an SLO. Queries cover fixed
+// and churned populations and repeated-seed confidence bands, and search
+// by monotone-envelope bisection that probes O(log N) tenant counts with
+// a verified fallback to the exhaustive scan when the probed envelope is
 // non-monotone. Points are exported in the lba-runner/v1 JSON artifact's
 // admission (and churn) sections.
 //
 // # Performance
 //
 // The replay is the package's hot path — sweeps and admission searches
-// replay millions of records per pool cell — and ships two dispatch
-// paths pinned byte-identical to each other (ReplayPool's Dispatch
-// argument). DispatchBatched, the default and what Engine.RunPool uses,
-// groups consecutive same-tenant records into runs so schedulers that
-// implement BatchPicker (all six built-ins) amortise their ranking work
-// per run instead of per record, and draws its working memory from a
-// pooled arena so steady-state replays allocate only their results
-// (logbuf.Channel.Reset is the channel-reuse hook). DispatchPerRecord
-// is the pre-optimization reference kept as the differential oracle and
-// benchmark baseline. BenchmarkReplay and `lbabench -bench replay`
-// measure the pair; docs/performance.md documents the schema, profiling
-// recipes and the measured ≥2x records/sec gap.
+// replay millions of records per pool cell — and has one production
+// entry point, ReplayPool (what Engine.RunPool calls). It groups
+// consecutive same-tenant records into runs so schedulers that implement
+// BatchPicker (all six built-ins) amortise their ranking work per run
+// instead of per record, and draws its working memory from a pooled arena
+// so steady-state replays allocate only their results
+// (logbuf.Channel.Reset is the channel-reuse hook). ReplayPoolReference
+// is the per-record reference — one Pick per record, fresh buffers — kept
+// as the differential oracle the batched path is pinned deep-equal
+// against. BenchmarkReplay and `lbabench -bench replay` measure the
+// production path; docs/performance.md documents the schema and the
+// profiling recipes.
 //
-// DispatchSharded (PoolConfig.Shards, `-shards` on the commands) is the
+// A pool with PoolConfig.Shards > 1 (`-shards` on the commands) takes the
 // multi-core half of the fast path: the pool splits into K statically-
 // partitioned sub-pools — contiguous core groups with an LPT-balanced
 // tenant assignment — each replayed with the batched path on its own

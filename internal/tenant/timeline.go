@@ -62,24 +62,6 @@ type Timeline interface {
 	Open() StepSource
 }
 
-// sliceTimeline is the materialised []step timeline — the pre-streaming
-// representation, kept as the differential oracle the encoded path is
-// pinned byte-identical against (and as the cheap way for tests to build
-// hand-written timelines).
-type sliceTimeline []step
-
-func (t sliceTimeline) Len() int { return len(t) }
-
-func (t sliceTimeline) Open() StepSource { s := sliceSource(t); return &s }
-
-type sliceSource []step
-
-func (s *sliceSource) Next(dst []step) int {
-	n := copy(dst, *s)
-	*s = (*s)[n:]
-	return n
-}
-
 // segTimeline is the production timeline: delta-encoded step segments.
 // Encoding (per step): varint(cycle - previous cycle), then varint(0) for
 // a drain step or varint(bits+1) followed by varint(cost) for a record
@@ -204,41 +186,6 @@ func (e *timelineEncoder) flush() {
 func (e *timelineEncoder) finish() *segTimeline {
 	e.flush()
 	return &segTimeline{segs: e.segs, n: e.n}
-}
-
-// encodeSteps round-trips a materialised timeline into the segment
-// encoding — the test tier's bridge between the slice oracle and the
-// streaming path (segSteps <= 0 selects the production segment size).
-func encodeSteps(steps []step, segSteps int) (Timeline, error) {
-	enc := timelineEncoder{segSteps: segSteps}
-	for _, s := range steps {
-		if s.bits != drainMark && uint64(s.bits) > maxStepBits {
-			return nil, fmt.Errorf("tenant: step bits %d exceed the width contract (max %d)", s.bits, maxStepBits)
-		}
-		if err := enc.append(s); err != nil {
-			return nil, err
-		}
-	}
-	return enc.finish(), nil
-}
-
-// materialise decodes a timeline into one contiguous []step — the test
-// tier's bridge back to the pre-streaming representation. Replay code
-// never calls it.
-func materialise(tl Timeline) []step {
-	if tl == nil {
-		return nil
-	}
-	out := make([]step, 0, tl.Len())
-	var win [256]step
-	src := tl.Open()
-	for {
-		n := src.Next(win[:])
-		if n == 0 {
-			return out
-		}
-		out = append(out, win[:n]...)
-	}
 }
 
 // genTimeline is a generator-backed timeline: steps are produced on the

@@ -67,17 +67,6 @@ type warmthModel struct {
 	factors      []float64 // memoized gain/decay factor by record bits; 0 = unset
 	lastCore     []int     // [tenant] core that served the tenant last, -1 if none
 	lastTen      []int     // [core] tenant served most recently, -1 if none
-
-	// legacy makes the replay commit path replicate the pre-fast-path
-	// instruction sequence (legacyServe + legacyMigrationCharge):
-	// math.Exp2 recomputed on every serve (no factor memo), the branchy
-	// decay walk, and library rounding for the migration charge. Every
-	// alternative is bit-identical in results — only the cost profile
-	// differs — and the per-record oracle replay (DispatchPerRecord) sets
-	// it so the benchmark baseline stays the pre-optimization baseline
-	// rather than silently inheriting the fast path's shared wins. See
-	// docs/performance.md.
-	legacy bool
 }
 
 func newWarmthModel(cores, tenants int, halfLifeBytes, idleHalfLifeCycles uint64) *warmthModel {
@@ -138,7 +127,7 @@ func resetInts(s []int, n, v int) []int {
 // factor returns the gain/decay factor f = 1 - 2^(-bits/(8*halfLife)),
 // memoized by record size.
 func (m *warmthModel) factor(bits uint64) float64 {
-	if bits < factorCacheBits && !m.legacy {
+	if bits < factorCacheBits {
 		if m.factors == nil {
 			m.factors = make([]float64, factorCacheBits)
 		}
@@ -176,26 +165,6 @@ func (m *warmthModel) serve(core, tenant int, bits uint64) (migrated bool) {
 	row[tenant] += (1 - row[tenant]) * f
 	for u := tenant + 1; u < len(row); u++ {
 		row[u] *= d
-	}
-	migrated = m.lastCore[tenant] >= 0 && m.lastCore[tenant] != core
-	m.lastCore[tenant] = core
-	m.lastTen[core] = tenant
-	return migrated
-}
-
-// legacyServe is serve as it existed before the fast path: the
-// transcendental recomputed per record and the decay factor recomputed
-// per row element. Bit-identical to serve (math.Exp2 is deterministic
-// and the float expressions are unchanged), deliberately not faster.
-func (m *warmthModel) legacyServe(core, tenant int, bits uint64) (migrated bool) {
-	f := 1 - math.Exp2(-float64(bits)/(8*m.halfLife))
-	row := m.warm[core*m.stride : core*m.stride+m.stride]
-	for u := range row {
-		if u == tenant {
-			row[u] += (1 - row[u]) * f
-		} else {
-			row[u] *= 1 - f
-		}
 	}
 	migrated = m.lastCore[tenant] >= 0 && m.lastCore[tenant] != core
 	m.lastCore[tenant] = core
@@ -263,8 +232,9 @@ func migrationCharge(penalty uint64, warmth float64) uint64 {
 	// rounding), truncation of a non-negative value is floor, and
 	// half-away-from-zero equals half-up, so trunc(x+0.5) == Round(x);
 	// at or beyond 2^52 a float64 has no fractional part, so Round
-	// returns x unchanged and uint64(x) is the identical conversion the
-	// pre-fast-path uint64(math.Round(x)) performed. The int64 conversion
+	// returns x unchanged and uint64(x) is the identical conversion
+	// uint64(math.Round(x)) performs (TestMigrationCharge pins the two
+	// equal across both branches). The int64 conversion
 	// is a single instruction where math.Round is a library call, and
 	// avoiding any call here keeps the whole function within the
 	// compiler's inlining budget — it runs once per replayed record plus
@@ -275,19 +245,4 @@ func migrationCharge(penalty uint64, warmth float64) uint64 {
 		return uint64(int64(x + 0.5))
 	}
 	return uint64(x)
-}
-
-// legacyMigrationCharge is migrationCharge as it existed before the fast
-// path (library rounding, no representability fast case) — bit-identical
-// output, pre-optimization cost. The per-record oracle's commit path
-// uses it (see warmthModel.legacy).
-func legacyMigrationCharge(penalty uint64, warmth float64) uint64 {
-	if penalty == 0 {
-		return 0
-	}
-	cold := 1 - warmth
-	if cold < 0 {
-		cold = 0
-	}
-	return uint64(math.Round(float64(penalty) * cold))
 }

@@ -1,7 +1,9 @@
 package tenant
 
 import (
+	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -26,6 +28,17 @@ func TestMigrationCharge(t *testing.T) {
 	for _, c := range cases {
 		if got := migrationCharge(c.penalty, c.warmth); got != c.want {
 			t.Errorf("migrationCharge(%d, %g) = %d, want %d", c.penalty, c.warmth, got, c.want)
+		}
+	}
+	// The branch-on-magnitude rounding equals library rounding of the
+	// clamped product on both sides of 2^52, where the fast branch hands
+	// over to plain conversion.
+	for _, p := range []uint64{1, 3, 320, 1<<52 - 1, 1 << 52, 1 << 53, 1 << 62} {
+		for _, w := range []float64{0, 0.25, 1.0 / 3, 0.5, 0.999, 1, 1.5} {
+			want := uint64(math.Round(float64(p) * max(0, 1-w)))
+			if got := migrationCharge(p, w); got != want {
+				t.Errorf("migrationCharge(%d, %g) = %d, math.Round reference %d", p, w, got, want)
+			}
 		}
 	}
 	// Monotone in penalty at fixed warmth, and in coldness at fixed penalty.
@@ -142,7 +155,7 @@ func TestInvariantPenaltyMonotonicity(t *testing.T) {
 	penalties := []uint64{0, 10, 100, 1000, 5000}
 	for _, penalty := range penalties {
 		pool := PoolConfig{Cores: 2, Policy: PolicyRoundRobin, MigrationPenalty: penalty}
-		res, err := replay(profiles, pool)
+		res, err := ReplayPool(context.Background(), profiles, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +200,7 @@ func TestInvariantZeroPenaltyCellSchema(t *testing.T) {
 	for _, policy := range Policies() {
 		// An explicit half-life with penalty 0 must not leak either: the
 		// knob only shapes results once migrations are priced.
-		res, err := replay(profiles, PoolConfig{Cores: 2, Policy: policy, WarmthHalfLifeBytes: 256})
+		res, err := ReplayPool(context.Background(), profiles, PoolConfig{Cores: 2, Policy: policy, WarmthHalfLifeBytes: 256})
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}
@@ -202,7 +215,7 @@ func TestInvariantZeroPenaltyCellSchema(t *testing.T) {
 		}
 	}
 	// And with the model on, the fields appear.
-	res, err := replay(profiles, PoolConfig{Cores: 2, Policy: PolicyAffinity, MigrationPenalty: 50})
+	res, err := ReplayPool(context.Background(), profiles, PoolConfig{Cores: 2, Policy: PolicyAffinity, MigrationPenalty: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +268,11 @@ func TestWarmthIdleDecayReplayGating(t *testing.T) {
 	slow.WarmthIdleHalfLifeCycles = 1 << 40 // effectively no idle decay
 
 	fixed := dispatchSuiteProfiles(t, 4, Churn{})
-	a, err := ReplayPool(fixed, pool, DispatchBatched)
+	a, err := ReplayPool(context.Background(), fixed, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReplayPool(fixed, slow, DispatchBatched)
+	b, err := ReplayPool(context.Background(), fixed, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +281,11 @@ func TestWarmthIdleDecayReplayGating(t *testing.T) {
 	}
 
 	churned := dispatchSuiteProfiles(t, 4, Churn{Rate: 0.5})
-	c, err := ReplayPool(churned, pool, DispatchBatched)
+	c, err := ReplayPool(context.Background(), churned, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := ReplayPool(churned, slow, DispatchBatched)
+	d, err := ReplayPool(context.Background(), churned, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
