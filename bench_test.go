@@ -14,6 +14,7 @@ package repro
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -23,6 +24,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/metrics"
+	"repro/internal/prog"
 	"repro/internal/runner"
 	"repro/internal/vpc"
 	"repro/internal/workloads"
@@ -320,26 +322,37 @@ func BenchmarkCacheAccess(b *testing.B) {
 // BenchmarkLBAPipeline measures end-to-end simulation throughput
 // (instructions simulated per wall second) on the gzip workload.
 func BenchmarkLBAPipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := workloads.BuildGzip(workloads.Config{Scale: benchScale})
-		res, err := core.RunLBA(p, "AddrCheck", core.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(res.Instructions))
-	}
+	runPipeline(b, "lba_pipeline", func(p *prog.Program) (*core.Result, error) {
+		return core.RunLBA(p, "AddrCheck", core.DefaultConfig())
+	})
 }
 
 // BenchmarkUnmonitoredPipeline is the baseline simulator throughput.
 func BenchmarkUnmonitoredPipeline(b *testing.B) {
+	runPipeline(b, "unmonitored_pipeline", func(p *prog.Program) (*core.Result, error) {
+		return core.RunUnmonitored(p, core.DefaultConfig())
+	})
+}
+
+// runPipeline simulates gzip b.N times through run and records the
+// allocations per simulated instruction in the bench artifact, beside
+// ReportAllocs's allocs/op. The profiling hot path keeps it near zero.
+func runPipeline(b *testing.B, name string, run func(*prog.Program) (*core.Result, error)) {
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	var instrs uint64
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		p := workloads.BuildGzip(workloads.Config{Scale: benchScale})
-		res, err := core.RunUnmonitored(p, core.DefaultConfig())
+		res, err := run(p)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(res.Instructions))
+		instrs += res.Instructions
 	}
+	runtime.ReadMemStats(&after)
+	recordMetric(b, name+"_allocs_per_instr", float64(after.Mallocs-before.Mallocs)/float64(instrs), "allocs/instr")
 }
 
 // BenchmarkAblationDispatchPipelining measures the nlba early-index

@@ -34,7 +34,6 @@ import (
 	"repro/internal/osmodel"
 	"repro/internal/prog"
 	"repro/internal/replay"
-	"repro/internal/vpc"
 )
 
 // Mode selects the monitoring configuration.
@@ -297,7 +296,7 @@ func RunLBA(p *prog.Program, lifeguardName string, cfg Config) (*Result, error) 
 		channels[i] = logbuf.New(cfg.Channel)
 	}
 
-	le := &logEncoder{cfg: &cfg, comp: vpc.NewCompressor()}
+	le := newLogEncoder(&cfg)
 
 	// routeOf picks the consuming lifeguard core for a record: memory
 	// records interleave by cache line; allocation-state records fan out
@@ -313,16 +312,22 @@ func RunLBA(p *prog.Program, lifeguardName string, cfg Config) (*Result, error) 
 		return 0
 	}
 
-	deliver := func(rec event.Record) {
-		bits, ok := le.encode(&rec)
+	// One record slot per run, as in ProfileLBA: a pointer to deliver's
+	// argument would escape through Dispatch and move every record to the
+	// heap.
+	slot := new(event.Record)
+	deliver := func(r event.Record) {
+		*slot = r
+		rec := slot
+		bits, ok := le.encode(rec)
 		if !ok {
 			return
 		}
 		hier.ChargeLogTransport(bits / 8)
 
-		primary := routeOf(&rec)
+		primary := routeOf(rec)
 		sw.cur = meters[primary]
-		lgCost := engines[primary].Dispatch(&rec)
+		lgCost := engines[primary].Dispatch(rec)
 		if stall := channels[primary].Produce(appCore.Cycles, bits, lgCost); stall > 0 {
 			appCore.Stall(stall)
 		}

@@ -19,9 +19,19 @@ import (
 // compression is ablated away).
 type logEncoder struct {
 	cfg      *Config
-	comp     *vpc.Compressor
+	comp     *vpc.Compressor // nil when compression is ablated away
 	filtered uint64
 	logBits  uint64
+}
+
+// newLogEncoder builds the stage for cfg; the VPC predictor bank is only
+// allocated when compression is on.
+func newLogEncoder(cfg *Config) *logEncoder {
+	le := &logEncoder{cfg: cfg}
+	if !cfg.CompressionOff {
+		le.comp = vpc.NewCompressor()
+	}
+	return le
 }
 
 // encode filters and compresses one record; ok is false when the record
@@ -40,9 +50,8 @@ func (le *logEncoder) encode(rec *event.Record) (bits uint64, ok bool) {
 			return 0, false
 		}
 	}
-	if le.cfg.CompressionOff {
+	if le.comp == nil {
 		bits = event.EncodedSize * 8
-		le.comp.Records++ // count records for stats symmetry
 	} else {
 		bits = uint64(le.comp.Append(*rec))
 	}
@@ -101,14 +110,19 @@ func ProfileLBA(p *prog.Program, lifeguardName string, cfg Config, obs Transport
 	lg := factory(meter)
 	engine.Attach(lg)
 
-	le := &logEncoder{cfg: &cfg, comp: vpc.NewCompressor()}
-	deliver := func(rec event.Record) {
-		bits, ok := le.encode(&rec)
+	le := newLogEncoder(&cfg)
+	// The dispatch engine hands the record to the lifeguard's handler
+	// table, so a pointer to deliver's argument would move every record
+	// to the heap. One slot per run takes each record instead.
+	slot := new(event.Record)
+	deliver := func(r event.Record) {
+		*slot = r
+		bits, ok := le.encode(slot)
 		if !ok {
 			return
 		}
 		hier.ChargeLogTransport(bits / 8)
-		lgCost := engine.Dispatch(&rec)
+		lgCost := engine.Dispatch(slot)
 		obs.Record(appCore.Cycles, bits, lgCost)
 	}
 

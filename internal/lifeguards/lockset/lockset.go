@@ -46,6 +46,10 @@ const (
 // wordShift selects the 8-byte monitoring granularity.
 const wordShift = 3
 
+// varChunk is how many variable records newVar allocates at a time.
+const varChunk = 256
+
+// varInfo is one word's monitoring state; the zero value is stVirgin.
 type varInfo struct {
 	state byte
 	owner uint8    // valid in stExclusive
@@ -60,6 +64,7 @@ type LockSet struct {
 	// vars maps word address -> monitoring state. The metered shadow
 	// accesses model the per-word shadow index Eraser maintains.
 	vars       map[uint64]*varInfo
+	spare      []varInfo // unused records of the current chunk (newVar)
 	reported   map[uint64]bool
 	violations []lifeguard.Violation
 }
@@ -139,7 +144,7 @@ func (l *LockSet) onAccess(seq uint64, r *event.Record, write bool) {
 	l.meter.Shadow(word<<wordShift, 8, false)
 	v := l.vars[word]
 	if v == nil {
-		v = &varInfo{state: stVirgin}
+		v = l.newVar()
 		l.vars[word] = v
 	}
 
@@ -179,6 +184,18 @@ func (l *LockSet) onAccess(seq uint64, r *event.Record, write bool) {
 		l.meter.Shadow(word<<wordShift, 8, true)
 		l.check(seq, r, v)
 	}
+}
+
+// newVar returns a virgin variable record, carved from a chunk so that a
+// program touching many shared words allocates once per chunk, not once
+// per word.
+func (l *LockSet) newVar() *varInfo {
+	if len(l.spare) == 0 {
+		l.spare = make([]varInfo, varChunk)
+	}
+	v := &l.spare[0]
+	l.spare = l.spare[1:]
+	return v
 }
 
 // intersect refines C(v) with the accessing thread's held locks.

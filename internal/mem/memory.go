@@ -6,7 +6,10 @@
 // cache".
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // pageBits selects the sparse-page granule (4 KiB, like a real page).
 const pageBits = 12
@@ -15,11 +18,15 @@ const pageSize = 1 << pageBits
 
 type page [pageSize]byte
 
+// pageChunk caps how many pages one allocation provides.
+const pageChunk = 16
+
 // Memory is a sparse, byte-addressable 64-bit memory. Pages materialise on
 // first touch and read as zero before any write, like anonymous mappings.
 // Memory holds functional state only; timing lives in the cache model.
 type Memory struct {
 	pages map[uint64]*page
+	spare []page // allocated but not yet materialised pages (see page)
 }
 
 // NewMemory returns an empty memory.
@@ -27,11 +34,22 @@ func NewMemory() *Memory {
 	return &Memory{pages: make(map[uint64]*page)}
 }
 
-func (m *Memory) pageFor(addr uint64, create bool) *page {
+// page returns the page holding addr, materialising it on first touch.
+// Reads never call it: they look the page up and treat an absent one as
+// zeros, so a Memory shared by concurrent readers is never mutated.
+func (m *Memory) page(addr uint64) *page {
 	pn := addr >> pageBits
 	p := m.pages[pn]
-	if p == nil && create {
-		p = new(page)
+	if p == nil {
+		if len(m.spare) == 0 {
+			// Pages are allocated in chunks that grow with the footprint
+			// up to pageChunk, so a large working set costs one
+			// allocation per chunk while a small one wastes at most as
+			// many pages as it uses.
+			m.spare = make([]page, min(len(m.pages)+1, pageChunk))
+		}
+		p = &m.spare[0]
+		m.spare = m.spare[1:]
 		m.pages[pn] = p
 	}
 	return p
@@ -39,7 +57,7 @@ func (m *Memory) pageFor(addr uint64, create bool) *page {
 
 // Byte reads one byte.
 func (m *Memory) Byte(addr uint64) byte {
-	p := m.pageFor(addr, false)
+	p := m.pages[addr>>pageBits]
 	if p == nil {
 		return 0
 	}
@@ -48,38 +66,95 @@ func (m *Memory) Byte(addr uint64) byte {
 
 // SetByte writes one byte.
 func (m *Memory) SetByte(addr uint64, v byte) {
-	p := m.pageFor(addr, true)
-	p[addr&(pageSize-1)] = v
+	m.page(addr)[addr&(pageSize-1)] = v
 }
 
 // Read reads size bytes (1, 2, 4 or 8) little-endian, zero-extended.
-// Accesses may straddle page boundaries.
+// Accesses may straddle page boundaries; each costs one page lookup per
+// page touched.
 func (m *Memory) Read(addr uint64, size uint8) uint64 {
-	var v uint64
-	for i := uint8(0); i < size; i++ {
-		v |= uint64(m.Byte(addr+uint64(i))) << (8 * i)
+	if off := addr & (pageSize - 1); off+uint64(size) <= pageSize {
+		p := m.pages[addr>>pageBits]
+		if p == nil {
+			return 0
+		}
+		switch size {
+		case 8:
+			return binary.LittleEndian.Uint64(p[off:])
+		case 4:
+			return uint64(binary.LittleEndian.Uint32(p[off:]))
+		case 2:
+			return uint64(binary.LittleEndian.Uint16(p[off:]))
+		case 1:
+			return uint64(p[off])
+		}
 	}
-	return v
+	var b [8]byte
+	m.ReadBytes(addr, b[:min(size, 8)])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // Write writes the low size bytes (1, 2, 4 or 8) of v little-endian.
 func (m *Memory) Write(addr uint64, size uint8, v uint64) {
-	for i := uint8(0); i < size; i++ {
-		m.SetByte(addr+uint64(i), byte(v>>(8*i)))
+	if off := addr & (pageSize - 1); off+uint64(size) <= pageSize {
+		switch size {
+		case 8:
+			binary.LittleEndian.PutUint64(m.page(addr)[off:], v)
+			return
+		case 4:
+			binary.LittleEndian.PutUint32(m.page(addr)[off:], uint32(v))
+			return
+		case 2:
+			binary.LittleEndian.PutUint16(m.page(addr)[off:], uint16(v))
+			return
+		case 1:
+			m.page(addr)[off] = byte(v)
+			return
+		}
 	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	m.WriteBytes(addr, b[:min(size, 8)])
 }
 
-// ReadBytes copies len(dst) bytes starting at addr into dst.
+// ReadBytes copies len(dst) bytes starting at addr into dst, one page
+// lookup per page touched. Absent pages read as zero and stay absent.
 func (m *Memory) ReadBytes(addr uint64, dst []byte) {
-	for i := range dst {
-		dst[i] = m.Byte(addr + uint64(i))
+	for len(dst) > 0 {
+		off := addr & (pageSize - 1)
+		n := min(uint64(len(dst)), pageSize-off)
+		if p := m.pages[addr>>pageBits]; p != nil {
+			copy(dst[:n], p[off:])
+		} else {
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		addr += n
 	}
 }
 
-// WriteBytes copies src into memory starting at addr.
+// WriteBytes copies src into memory starting at addr, one page lookup per
+// page touched.
 func (m *Memory) WriteBytes(addr uint64, src []byte) {
-	for i, b := range src {
-		m.SetByte(addr+uint64(i), b)
+	for len(src) > 0 {
+		n := copy(m.page(addr)[addr&(pageSize-1):], src)
+		src = src[n:]
+		addr += uint64(n)
+	}
+}
+
+// Fill sets the n bytes starting at addr to v, one page lookup per page
+// touched. Every page in the range materialises, even when v is zero.
+func (m *Memory) Fill(addr, n uint64, v byte) {
+	for n > 0 {
+		off := addr & (pageSize - 1)
+		k := min(n, pageSize-off)
+		s := m.page(addr)[off : off+k]
+		for i := range s {
+			s[i] = v
+		}
+		addr += k
+		n -= k
 	}
 }
 

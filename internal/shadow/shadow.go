@@ -63,9 +63,7 @@ func (s *Memory) GetSpan(app uint64, size uint8, dst *[8]byte) int {
 		n = 8
 	}
 	s.meter.Shadow(first, uint8(n), false)
-	for i := 0; i < n; i++ {
-		dst[i] = s.data.Byte(Base + first + uint64(i))
-	}
+	s.data.ReadBytes(Base+first, dst[:n])
 	return n
 }
 
@@ -81,9 +79,7 @@ func (s *Memory) SetRange(app, length uint64, v byte) {
 	for line := first &^ 63; line <= last; line += 64 {
 		s.meter.Shadow(line, 8, true)
 	}
-	for a := first; a <= last; a++ {
-		s.data.SetByte(Base+a, v)
-	}
+	s.data.Fill(Base+first, last-first+1, v)
 }
 
 // AllInRange reports whether every shadow byte covering [app, app+size)

@@ -12,29 +12,29 @@
 // case costs a handful of bits.
 package vpc
 
+import "encoding/binary"
+
 // BitWriter accumulates a bitstream least-significant-bit first within each
-// byte. The zero value is an empty writer ready for use.
+// byte. Bits collect in a 64-bit accumulator that spills to the buffer
+// eight bytes at a time, so a write costs a shift and an OR rather than a
+// loop over byte chunks. The zero value is an empty writer ready for use.
 type BitWriter struct {
-	buf  []byte
-	nbit uint // bits used in the final byte (0..7); 0 means byte-aligned
+	buf  []byte // whole bytes spilled from acc
+	acc  uint64 // pending bits, LSB first
+	nacc uint   // bits pending in acc (0..63)
 }
 
 // WriteBits appends the low n bits of v (n <= 64).
 func (w *BitWriter) WriteBits(v uint64, n uint) {
-	for n > 0 {
-		if w.nbit == 0 {
-			w.buf = append(w.buf, 0)
-		}
-		free := 8 - w.nbit
-		take := n
-		if take > free {
-			take = free
-		}
-		w.buf[len(w.buf)-1] |= byte(v&((1<<take)-1)) << w.nbit
-		w.nbit = (w.nbit + take) & 7
-		v >>= take
-		n -= take
+	v &= 1<<n - 1 // all ones at n == 64: Go shifts past the width yield 0
+	w.acc |= v << (w.nacc & 63)
+	if w.nacc+n < 64 {
+		w.nacc += n
+		return
 	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, w.acc)
+	w.acc = v >> (64 - w.nacc) // 0 when nacc == 0: nothing was left over
+	w.nacc = w.nacc + n - 64
 }
 
 // WriteBit appends one bit.
@@ -61,23 +61,27 @@ func (w *BitWriter) WriteVarint(v int64) {
 }
 
 // BitLen returns the number of bits written so far.
-func (w *BitWriter) BitLen() int {
-	if len(w.buf) == 0 {
-		return 0
-	}
-	if w.nbit == 0 {
-		return len(w.buf) * 8
-	}
-	return (len(w.buf)-1)*8 + int(w.nbit)
-}
+func (w *BitWriter) BitLen() int { return len(w.buf)*8 + int(w.nacc) }
 
-// Bytes returns the backing buffer (final byte zero-padded).
-func (w *BitWriter) Bytes() []byte { return w.buf }
+// Bytes returns the stream written so far, final byte zero-padded. The
+// pending bits are copied past the end of the buffer without extending
+// it, so the slice is valid until the next write and later writes
+// continue the same stream.
+func (w *BitWriter) Bytes() []byte {
+	if w.nacc == 0 {
+		return w.buf
+	}
+	n := len(w.buf)
+	full := append(w.buf, make([]byte, 8)...)
+	binary.LittleEndian.PutUint64(full[n:], w.acc)
+	w.buf = full[:n]
+	return full[:n+int(w.nacc+7)/8]
+}
 
 // Reset clears the writer for reuse, keeping the allocation.
 func (w *BitWriter) Reset() {
 	w.buf = w.buf[:0]
-	w.nbit = 0
+	w.acc, w.nacc = 0, 0
 }
 
 // BitReader consumes a bitstream produced by BitWriter.
