@@ -315,10 +315,9 @@ func RunLBA(p *prog.Program, lifeguardName string, cfg Config) (*Result, error) 
 	// One record slot per run, as in ProfileLBA: a pointer to deliver's
 	// argument would escape through Dispatch and move every record to the
 	// heap.
-	slot := new(event.Record)
+	rec := new(event.Record)
 	deliver := func(r event.Record) {
-		*slot = r
-		rec := slot
+		*rec = r
 		bits, ok := le.encode(rec)
 		if !ok {
 			return

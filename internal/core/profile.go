@@ -114,15 +114,15 @@ func ProfileLBA(p *prog.Program, lifeguardName string, cfg Config, obs Transport
 	// The dispatch engine hands the record to the lifeguard's handler
 	// table, so a pointer to deliver's argument would move every record
 	// to the heap. One slot per run takes each record instead.
-	slot := new(event.Record)
+	rec := new(event.Record)
 	deliver := func(r event.Record) {
-		*slot = r
-		bits, ok := le.encode(slot)
+		*rec = r
+		bits, ok := le.encode(rec)
 		if !ok {
 			return
 		}
 		hier.ChargeLogTransport(bits / 8)
-		lgCost := engine.Dispatch(slot)
+		lgCost := engine.Dispatch(rec)
 		obs.Record(appCore.Cycles, bits, lgCost)
 	}
 

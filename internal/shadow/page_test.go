@@ -1,6 +1,7 @@
 package shadow
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -17,18 +18,6 @@ type recordingMeter struct{ charges []charge }
 func (m *recordingMeter) Instr(uint64) {}
 func (m *recordingMeter) Shadow(addr uint64, size uint8, write bool) {
 	m.charges = append(m.charges, charge{addr, size, write})
-}
-
-func sameCharges(got, want []charge) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Spans and fills that cross a 4 KiB page of the shadow map read, write
@@ -55,7 +44,7 @@ func TestShadowMemoryPageBoundary(t *testing.T) {
 						t.Fatalf("gran %d: GetSpan(%#x, %d)[%d] = %d, want %d", gran, app, size, i, dst[i], byte(first+uint64(i)))
 					}
 				}
-				if want := []charge{{first, uint8(n), false}}; !sameCharges(meter.charges, want) {
+				if want := []charge{{first, uint8(n), false}}; !slices.Equal(meter.charges, want) {
 					t.Fatalf("gran %d: GetSpan(%#x, %d) charged %v, want %v", gran, app, size, meter.charges, want)
 				}
 			}
@@ -69,7 +58,7 @@ func TestShadowMemoryPageBoundary(t *testing.T) {
 		for line := first &^ 63; line <= last; line += 64 {
 			want = append(want, charge{line, 8, true})
 		}
-		if !sameCharges(meter.charges, want) {
+		if !slices.Equal(meter.charges, want) {
 			t.Fatalf("gran %d: SetRange charged %v, want %v", gran, meter.charges, want)
 		}
 		for a := first - 2; a <= last+2; a++ {
