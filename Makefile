@@ -16,7 +16,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/tenant/...
 	$(GO) test -race -count=1 ./internal/serve
-	$(GO) test -race -count=10 -run 'Cancel' ./internal/tenant ./internal/serve
+	$(GO) test -race -count=10 -run 'Cancel|Admission' ./internal/tenant ./internal/serve
 	$(GO) test -race -count=1 -run 'TestSched|TestReplayInvariants|TestPlanAdmission|TestWFQ|TestPriority|TestDeadline|TestAffinity|TestChurn|TestPropertyBisection|TestApplyChurn|TestPeakConcurrency|TestSharded|TestShardPlan|TestStreaming|TestTimelineRoundTrip|TestStepCursorWindows|TestWindowRingRecycle|TestRecorderWidthContract' ./internal/tenant
 
 fuzz:

@@ -126,7 +126,9 @@ func runDaemon(args []string, out io.Writer) error {
 		ln.Close()
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// A client that never finishes its headers must not hold a
+	// connection (and its goroutine) open forever.
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()

@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -34,8 +36,9 @@ type memoEntry[V any] struct {
 // Memo is a content-keyed, single-flight memoization table: concurrent Do
 // calls with equal keys run the function once and share the result. It is
 // the generic core of the Engine's job cache and is reused by the tenant
-// simulation for per-tenant profiles. Cached values are shared between
-// callers and must be treated as immutable.
+// simulation for per-tenant profiles and admission envelope points.
+// Cached values are shared between callers and must be treated as
+// immutable; errors are never cached.
 type Memo[V any] struct {
 	mu    sync.Mutex
 	cache map[string]*memoEntry[V]
@@ -68,23 +71,34 @@ func NewMemoBounded[V any](limit int) *Memo[V] {
 
 // Do returns the memoized value for key, computing it with fn on first
 // claim. The context only bounds the wait on an in-flight result — a
-// computation that has started always runs to completion.
+// computation that has started always runs to completion. Only successes
+// are kept: a failed computation is dropped from the table before its
+// waiters wake, so the next caller recomputes. A waiter handed another
+// caller's context error while its own context is still live claims the
+// key afresh instead of inheriting the cancellation.
 func (m *Memo[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V, error) {
 	var zero V
-	if err := ctx.Err(); err != nil {
-		return zero, err
-	}
-	m.mu.Lock()
-	if ent, ok := m.cache[key]; ok {
+	for {
+		if err := ctx.Err(); err != nil {
+			return zero, err
+		}
+		m.mu.Lock()
+		ent, ok := m.cache[key]
+		if !ok {
+			break // claim it, still holding the lock
+		}
 		m.touchLocked(key)
 		m.mu.Unlock()
 		m.hits.Add(1)
 		select {
 		case <-ent.done:
-			return ent.val, ent.err
 		case <-ctx.Done():
 			return zero, ctx.Err()
 		}
+		if ent.err != nil && isContextErr(ent.err) && ctx.Err() == nil {
+			continue
+		}
+		return ent.val, ent.err
 	}
 	ent := &memoEntry[V]{done: make(chan struct{})}
 	m.cache[key] = ent
@@ -93,14 +107,29 @@ func (m *Memo[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V, 
 
 	m.misses.Add(1)
 	ent.val, ent.err = fn()
-	close(ent.done)
 
-	if m.limit > 0 {
-		m.mu.Lock()
-		m.evictLocked()
-		m.mu.Unlock()
+	m.mu.Lock()
+	if ent.err != nil {
+		delete(m.cache, key)
+		m.order = removeKey(m.order, key)
 	}
+	close(ent.done)
+	if m.limit > 0 {
+		m.evictLocked()
+	}
+	m.mu.Unlock()
 	return ent.val, ent.err
+}
+
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+func removeKey(order []string, key string) []string {
+	if i := slices.Index(order, key); i >= 0 {
+		return slices.Delete(order, i, i+1)
+	}
+	return order
 }
 
 // touchLocked moves key to the back of the recency order. Unbounded
@@ -145,24 +174,20 @@ func (m *Memo[V]) evictLocked() {
 }
 
 // Peek returns the completed value for key without blocking; ok is false
-// when the key is absent, still in flight, or failed.
+// when the key is absent or still in flight. A completed entry still in
+// the table is a success: failures leave it before their done closes.
 func (m *Memo[V]) Peek(key string) (V, bool) {
-	var zero V
 	m.mu.Lock()
-	ent, ok := m.cache[key]
-	m.mu.Unlock()
-	if !ok {
-		return zero, false
+	defer m.mu.Unlock()
+	if ent, ok := m.cache[key]; ok {
+		select {
+		case <-ent.done:
+			return ent.val, true
+		default:
+		}
 	}
-	select {
-	case <-ent.done:
-	default:
-		return zero, false
-	}
-	if ent.err != nil {
-		return zero, false
-	}
-	return ent.val, true
+	var zero V
+	return zero, false
 }
 
 // Keys returns the cached keys — in first-claim order for an unbounded

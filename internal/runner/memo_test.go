@@ -2,7 +2,9 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -124,5 +126,151 @@ func TestMemoUnboundedOrderIsFirstClaim(t *testing.T) {
 	}
 	if m.Limit() != 0 {
 		t.Errorf("unbounded Limit = %d, want 0", m.Limit())
+	}
+}
+
+var errBoom = errors.New("boom")
+
+// TestMemoErrorIsNotCached: a failed computation leaves no entry behind,
+// so the next caller recomputes instead of inheriting the failure.
+func TestMemoErrorIsNotCached(t *testing.T) {
+	ctx := context.Background()
+	m := NewMemoBounded[int](4)
+	if _, err := m.Do(ctx, "k", func() (int, error) { return 0, errBoom }); !errors.Is(err, errBoom) {
+		t.Fatalf("first Do err = %v, want %v", err, errBoom)
+	}
+	if m.Len() != 0 || len(m.Keys()) != 0 {
+		t.Fatalf("failed entry retained: Len %d, Keys %v", m.Len(), m.Keys())
+	}
+	if _, ok := m.Peek("k"); ok {
+		t.Fatal("Peek reports a failed key as cached")
+	}
+	got, err := m.Do(ctx, "k", func() (int, error) { return 7, nil })
+	if err != nil || got != 7 {
+		t.Fatalf("retry Do = %d, %v; want 7, nil", got, err)
+	}
+	if m.Misses() != 2 || m.Hits() != 0 {
+		t.Errorf("hits/misses = %d/%d, want 0/2", m.Hits(), m.Misses())
+	}
+	if got, _ := m.Do(ctx, "k", func() (int, error) { return -1, nil }); got != 7 {
+		t.Errorf("success not cached: got %d, want 7", got)
+	}
+}
+
+// TestMemoCancelledClaimerLiveWaiter: a waiter whose own context is live
+// does not inherit the claimer's cancellation; it claims the key afresh
+// and computes the value itself. A waiter handed an ordinary error does
+// share it.
+func TestMemoCancelledClaimerLiveWaiter(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		claimed error
+		want    int
+		wantErr error
+	}{
+		{"context error is retried", context.Canceled, 42, nil},
+		{"deadline error is retried", context.DeadlineExceeded, 42, nil},
+		{"plain error is shared", errBoom, 0, errBoom},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewMemo[int]()
+			started, release := make(chan struct{}), make(chan struct{})
+			claimer := make(chan error, 1)
+			go func() {
+				_, err := m.Do(context.Background(), "k", func() (int, error) {
+					close(started)
+					<-release
+					return 0, c.claimed
+				})
+				claimer <- err
+			}()
+			<-started
+			type outcome struct {
+				v   int
+				err error
+			}
+			waiter := make(chan outcome, 1)
+			go func() {
+				v, err := m.Do(context.Background(), "k", func() (int, error) { return 42, nil })
+				waiter <- outcome{v, err}
+			}()
+			for m.Hits() == 0 { // the waiter has joined the in-flight entry
+				runtime.Gosched()
+			}
+			close(release)
+			if err := <-claimer; !errors.Is(err, c.claimed) {
+				t.Fatalf("claimer err = %v, want %v", err, c.claimed)
+			}
+			got := <-waiter
+			if got.v != c.want || !errors.Is(got.err, c.wantErr) {
+				t.Fatalf("waiter = %d, %v; want %d, %v", got.v, got.err, c.want, c.wantErr)
+			}
+			wantLen := 0
+			if c.wantErr == nil {
+				wantLen = 1
+			}
+			if m.Len() != wantLen {
+				t.Errorf("Len = %d, want %d", m.Len(), wantLen)
+			}
+		})
+	}
+}
+
+// TestMemoWaiterOwnCancelReturnsPromptly: a waiter whose own context is
+// cancelled gives up with its own error and leaves the in-flight
+// computation (and its eventual value) alone.
+func TestMemoWaiterOwnCancelReturnsPromptly(t *testing.T) {
+	m := NewMemo[int]()
+	started, release := make(chan struct{}), make(chan struct{})
+	claimer := make(chan int, 1)
+	go func() {
+		v, _ := m.Do(context.Background(), "k", func() (int, error) {
+			close(started)
+			<-release
+			return 5, nil
+		})
+		claimer <- v
+	}()
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := m.Do(ctx, "k", func() (int, error) { return -1, nil }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter err = %v, want context.Canceled", err)
+	}
+	close(release)
+	if v := <-claimer; v != 5 {
+		t.Fatalf("claimer = %d, want 5", v)
+	}
+	if v, ok := m.Peek("k"); !ok || v != 5 {
+		t.Errorf("Peek = %d, %v; want 5, true", v, ok)
+	}
+}
+
+// TestMemoBoundedFailuresKeepLRUInvariants: failures interleaved with
+// successes never occupy a slot, never appear in Keys, and leave the LRU
+// order and cap exactly as the successes alone would.
+func TestMemoBoundedFailuresKeepLRUInvariants(t *testing.T) {
+	ctx := context.Background()
+	m := NewMemoBounded[int](2)
+	ok := func(v int) func() (int, error) { return func() (int, error) { return v, nil } }
+	fail := func() (int, error) { return 0, errBoom }
+	steps := []struct {
+		key string
+		fn  func() (int, error)
+	}{
+		{"a", ok(1)}, {"x", fail}, {"b", ok(2)}, {"y", fail}, {"a", ok(-1)}, {"c", ok(3)}, {"z", fail},
+	}
+	for _, s := range steps {
+		m.Do(ctx, s.key, s.fn)
+		if m.Len() > m.Limit() {
+			t.Fatalf("after %q Len = %d, cap %d", s.key, m.Len(), m.Limit())
+		}
+	}
+	// "a" was refreshed before "c" arrived, so "b" was the LRU victim.
+	if keys := m.Keys(); len(keys) != 2 || keys[0] != "a" || keys[1] != "c" {
+		t.Fatalf("Keys = %v, want [a c]", keys)
+	}
+	if v, _ := m.Peek("a"); v != 1 {
+		t.Errorf("a = %d, want the first success 1", v)
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"time"
 
 	"repro/internal/tenant"
 )
@@ -20,11 +19,30 @@ import (
 // now simulating a stale population, and wakes the loop. Callers hold
 // s.mu.
 func (s *Server) membershipChangedLocked() {
-	s.popGen++
+	s.bumpGenLocked()
 	if s.cancelRun != nil {
 		s.cancelRun()
 	}
 	s.kickReplay()
+}
+
+// bumpGenLocked moves popGen ahead of resultGen, opening the idle
+// channel WaitIdle blocks on if it is not open already.
+func (s *Server) bumpGenLocked() {
+	s.popGen++
+	if s.idle == nil {
+		s.idle = make(chan struct{})
+	}
+}
+
+// installedLocked records that a result covering generation gen is
+// installed, waking WaitIdle once that is the current generation.
+func (s *Server) installedLocked(gen int) {
+	s.resultGen = gen
+	if gen == s.popGen && s.idle != nil {
+		close(s.idle)
+		s.idle = nil
+	}
 }
 
 // kickReplay wakes the control loop without blocking (the channel holds
@@ -74,7 +92,7 @@ func (s *Server) replayOnce() bool {
 		// result", and any drained tenants are already gone from order.
 		s.lastResult = nil
 		s.lastIDs = nil
-		s.resultGen = gen
+		s.installedLocked(gen)
 		s.mu.Unlock()
 		return false
 	}
@@ -127,7 +145,7 @@ func (s *Server) replayOnce() bool {
 	s.lastErr = nil
 	s.lastResult = res
 	s.lastIDs = ids
-	s.resultGen = gen
+	s.installedLocked(gen)
 	// Drained tenants leave the live set now that a replay has served
 	// their full window; their rows stay in lastResult/lastIDs as the
 	// final accounting until the next membership change replays without
@@ -154,24 +172,22 @@ func isDraining(id int, draining []int) bool {
 }
 
 // WaitIdle blocks until the latest finished replay covers the current
-// population (or ctx expires) — the test and shutdown barrier.
+// population (or ctx expires) — the test and shutdown barrier. It wakes
+// when the replay loop installs that result.
 func (s *Server) WaitIdle(ctx context.Context) error {
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		s.mu.Lock()
-		idle := s.resultGen == s.popGen
-		s.mu.Unlock()
-		if idle {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-s.root.Done():
-			return errors.New("serve: server shut down")
-		case <-tick.C:
-		}
+	s.mu.Lock()
+	idle := s.idle
+	s.mu.Unlock()
+	if idle == nil {
+		return nil
+	}
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-s.root.Done():
+		return errors.New("serve: server shut down")
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -172,16 +174,13 @@ func TestLifecycle(t *testing.T) {
 	}
 
 	// Metrics echo the lifecycle.
-	resp, err = http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := new(bytes.Buffer)
-	body.ReadFrom(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{"lbad_admitted_total 2", "lbad_evicted_total 1", "lbad_live_tenants 1", "lbad_audit_records 3"} {
-		if !strings.Contains(body.String(), want) {
-			t.Errorf("metrics missing %q:\n%s", want, body.String())
+	metrics := getMetrics(t, ts.URL)
+	// Two admissions asked two first-time questions (one tenant, then
+	// two), each one envelope probe that ran a replay.
+	for _, want := range []string{"lbad_admitted_total 2", "lbad_evicted_total 1", "lbad_live_tenants 1", "lbad_audit_records 3",
+		"lbad_admission_memo_hits_total 0", "lbad_admission_memo_misses_total 2"} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
 	}
 }
@@ -191,10 +190,7 @@ func TestLifecycle(t *testing.T) {
 // pays no contention) and rejects the second with the bisection band in
 // the body.
 func TestAdmissionRejection(t *testing.T) {
-	cfg := testConfig()
-	cfg.Pool.Cores = 1
-	cfg.SLO = 1.0
-	srv, ts := startServer(t, cfg, t.TempDir())
+	srv, ts := startServer(t, rejectingConfig(), t.TempDir())
 	defer srv.Shutdown(context.Background())
 
 	if resp := postJSON(t, ts.URL+"/v1/tenants", ""); resp.StatusCode != http.StatusCreated {
@@ -485,5 +481,235 @@ func TestReplayCancelledOnMembershipChange(t *testing.T) {
 	srv.mu.Unlock()
 	if rows != 2 {
 		t.Fatalf("final result covers %d tenants, want 2", rows)
+	}
+}
+
+// rejectingConfig is a 1-core pool with a zero-tolerance SLO: it admits
+// one tenant (a lone tenant pays no contention) and rejects the second.
+func rejectingConfig() Config {
+	cfg := testConfig()
+	cfg.Pool.Cores = 1
+	cfg.SLO = 1.0
+	return cfg
+}
+
+func getMetrics(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body := new(bytes.Buffer)
+	body.ReadFrom(resp.Body)
+	return body.String()
+}
+
+// TestRepeatedRejectionReplaysNothing: asking the same question of an
+// unchanged population is answered from the engine's envelope memo — the
+// second identical 409 runs no replay and carries the same band.
+func TestRepeatedRejectionReplaysNothing(t *testing.T) {
+	srv, ts := startServer(t, rejectingConfig(), t.TempDir())
+	defer srv.Shutdown(context.Background())
+
+	if resp := postJSON(t, ts.URL+"/v1/tenants", ""); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("first admit: status %d, want 201", resp.StatusCode)
+	} else {
+		resp.Body.Close()
+	}
+	var bands []AdmissionBand
+	var misses []uint64
+	for i := 0; i < 2; i++ {
+		resp := postJSON(t, ts.URL+"/v1/tenants", "")
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("reject %d: status %d, want 409", i, resp.StatusCode)
+		}
+		er := decode[ErrorResponse](t, resp)
+		if er.Admission == nil {
+			t.Fatalf("reject %d carries no band", i)
+		}
+		bands = append(bands, *er.Admission)
+		_, m := srv.eng.AdmissionMemoStats()
+		misses = append(misses, m)
+	}
+	if misses[1] != misses[0] {
+		t.Errorf("second identical rejection replayed %d envelope points, want 0", misses[1]-misses[0])
+	}
+	if bands[0] != bands[1] {
+		t.Errorf("repeated rejection bands differ: %+v vs %+v", bands[0], bands[1])
+	}
+	if hits, _ := srv.eng.AdmissionMemoStats(); hits == 0 {
+		t.Error("no envelope memo hits after a repeated question")
+	}
+}
+
+// TestRejectionAuditFailure: a rejection whose audit append fails is not
+// acknowledged as a 409 — it is a 500, and it is not counted.
+func TestRejectionAuditFailure(t *testing.T) {
+	srv, ts := startServer(t, rejectingConfig(), t.TempDir())
+	defer srv.Shutdown(context.Background())
+
+	if resp := postJSON(t, ts.URL+"/v1/tenants", ""); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("first admit: status %d, want 201", resp.StatusCode)
+	} else {
+		resp.Body.Close()
+	}
+	if err := srv.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, ts.URL+"/v1/tenants", "")
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("reject with a closed store: status %d, want 500", resp.StatusCode)
+	}
+	if er := decode[ErrorResponse](t, resp); !strings.Contains(er.Error, "persisting rejection") {
+		t.Errorf("500 error %q does not say persisting rejection", er.Error)
+	}
+	if m := getMetrics(t, ts.URL); !strings.Contains(m, "lbad_rejected_total 0") {
+		t.Errorf("an unpersisted rejection was counted:\n%s", m)
+	}
+}
+
+// TestReadsDoNotWaitOnAdmission: the admission query runs off the server
+// lock, so reads sent while a first-time query is in flight return
+// before it does. The hook holds the query until the reads are back.
+func TestReadsDoNotWaitOnAdmission(t *testing.T) {
+	srv, ts := startServer(t, testConfig(), t.TempDir())
+	defer srv.Shutdown(context.Background())
+	waitIdle(t, srv)
+
+	entered, hold := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release() // a failing read must not leave the handler parked
+	srv.queryHook = func() {
+		close(entered)
+		<-hold
+	}
+	admitted := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/tenants", "application/json", nil)
+		if err != nil {
+			admitted <- 0
+			return
+		}
+		resp.Body.Close()
+		admitted <- resp.StatusCode
+	}()
+	<-entered
+
+	client := &http.Client{Timeout: 10 * time.Second}
+	for _, path := range []string{"/v1/pool", "/v1/tenants", "/v1/metrics"} {
+		resp, err := client.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s during an admission query: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: status %d, want 200", path, resp.StatusCode)
+		}
+	}
+	select {
+	case code := <-admitted:
+		t.Fatalf("admission returned %d before its query was released", code)
+	default:
+	}
+	release()
+	if code := <-admitted; code != http.StatusCreated {
+		t.Fatalf("admit: status %d, want 201", code)
+	}
+	if _, misses := srv.eng.AdmissionMemoStats(); misses != 1 {
+		t.Errorf("envelope misses = %d, want 1 (the query was a first-time question)", misses)
+	}
+}
+
+// barrierHook holds the first k admission queries until all k have
+// arrived, so all of them are asked of the same population and all but
+// one must be asked again after the first commits.
+func barrierHook(k int) func() {
+	var calls atomic.Int32
+	var arrived sync.WaitGroup
+	arrived.Add(k)
+	return func() {
+		if calls.Add(1) <= int32(k) {
+			arrived.Done()
+			arrived.Wait()
+		}
+	}
+}
+
+// TestConcurrentAdmissionsRespectCap: parallel POSTs racing through the
+// off-lock query never admit past the planner's answer or the tenant
+// cap, and every audited decision names the population it committed
+// against.
+func TestConcurrentAdmissionsRespectCap(t *testing.T) {
+	const k = 6
+	cases := []struct {
+		name    string
+		cfg     Config
+		admits  int
+		rejects int // audited SLO rejections; the rest are cap 409s
+	}{
+		{"planner bound", rejectingConfig(), 1, k - 1},
+		{"tenant cap", testConfig(), testConfig().MaxTenants, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			srv, ts := startServer(t, c.cfg, t.TempDir())
+			defer srv.Shutdown(context.Background())
+			srv.queryHook = barrierHook(k)
+
+			codes := make(chan int, k)
+			var wg sync.WaitGroup
+			for i := 0; i < k; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resp, err := http.Post(ts.URL+"/v1/tenants", "application/json", nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					resp.Body.Close()
+					codes <- resp.StatusCode
+				}()
+			}
+			wg.Wait()
+			close(codes)
+			var created, conflicts int
+			for code := range codes {
+				switch code {
+				case http.StatusCreated:
+					created++
+				case http.StatusConflict:
+					conflicts++
+				default:
+					t.Errorf("unexpected status %d", code)
+				}
+			}
+			if created != c.admits || conflicts != k-c.admits {
+				t.Fatalf("%d admitted, %d refused; want %d and %d", created, conflicts, c.admits, k-c.admits)
+			}
+
+			live, rejects := 0, 0
+			for _, e := range srv.store.Entries() {
+				if e.Population != live {
+					t.Errorf("seq %d (%s) audited population %d, live count at commit was %d", e.Seq, e.Op, e.Population, live)
+				}
+				switch e.Op {
+				case "admit":
+					if live+1 > e.MaxTenants {
+						t.Errorf("seq %d admitted tenant %d past the planner's max %d", e.Seq, live+1, e.MaxTenants)
+					}
+					live++
+				case "reject":
+					if live+1 <= e.MaxTenants {
+						t.Errorf("seq %d rejected tenant %d within the planner's max %d", e.Seq, live+1, e.MaxTenants)
+					}
+					rejects++
+				}
+			}
+			if live != c.admits || live > c.cfg.MaxTenants || rejects != c.rejects {
+				t.Errorf("audit log: %d admits, %d rejects; want %d and %d", live, rejects, c.admits, c.rejects)
+			}
+		})
 	}
 }

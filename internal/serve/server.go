@@ -143,6 +143,13 @@ type Server struct {
 
 	kick chan struct{}
 	done chan struct{}
+	// idle is closed when resultGen catches up with popGen; nil while
+	// they are equal (WaitIdle).
+	idle chan struct{}
+
+	// queryHook, when set, runs before each admission query, off the
+	// lock. Only tests set it.
+	queryHook func()
 }
 
 // New opens (or recovers) the store under dataDir and starts the replay
@@ -218,7 +225,7 @@ func (s *Server) recover() error {
 			return fmt.Errorf("serve: audit seq %d has unknown op %q", e.Seq, e.Op)
 		}
 	}
-	s.popGen++
+	s.bumpGenLocked()
 	return nil
 }
 
@@ -374,9 +381,13 @@ func writeError(w http.ResponseWriter, code int, band *AdmissionBand, format str
 
 // handleAdmit is the live admission path: plan the (population+1)-tenant
 // query against the configured SLO, admit on a meeting band, persist the
-// decision either way, and re-simulate on admit. Admissions serialise on
-// the server mutex held across the plan — the capacity check is against
-// a population that cannot change under it.
+// decision either way, and re-simulate on admit. The query runs off the
+// server mutex, so reads, evictions and the replay loop never wait on
+// it; the decision commits under the mutex only if the population it
+// was asked for is still the live one, and is asked again for the new
+// population otherwise. The question depends only on the live count, and
+// the engine memoizes its envelope, so a repeated question replays
+// nothing.
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	var req AdmitRequest
 	if body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20)); err != nil {
@@ -396,38 +407,46 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := len(s.live)
-	if n >= s.cfg.MaxTenants {
-		writeError(w, http.StatusConflict, nil,
-			"population %d is at the configured cap of %d tenants", n, s.cfg.MaxTenants)
-		return
-	}
-
-	// The live check: can this pool serve n+1 suite tenants within the
-	// SLO? The engine's profile memo makes repeat queries cheap — only
-	// populations never probed before cost replays.
-	points, err := s.eng.PlanAdmissionQuery(r.Context(),
-		workloads.Config{Scale: s.cfg.Scale, Seed: s.cfg.Seed, Threads: s.cfg.Threads},
-		s.cfg.Core,
-		tenant.AdmissionQuery{Pool: s.cfg.Pool, SLOs: []float64{s.cfg.SLO}, MaxTenants: n + 1})
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusServiceUnavailable, nil, "admission query aborted: %v", err)
+	var pt tenant.AdmissionPoint
+	for {
+		if n >= s.cfg.MaxTenants {
+			s.mu.Unlock()
+			writeError(w, http.StatusConflict, nil,
+				"population %d is at the configured cap of %d tenants", n, s.cfg.MaxTenants)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, nil, "admission query: %v", err)
-		return
+		s.mu.Unlock()
+		var err error
+		if pt, err = s.admissionPoint(r.Context(), n); err != nil {
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				writeError(w, http.StatusServiceUnavailable, nil, "admission query aborted: %v", err)
+				return
+			}
+			writeError(w, http.StatusInternalServerError, nil, "admission query: %v", err)
+			return
+		}
+		s.mu.Lock()
+		// Compare the count, not popGen: the answer depends only on n,
+		// and the replay loop removes drained tenants without a new
+		// generation.
+		if len(s.live) == n {
+			break
+		}
+		n = len(s.live)
 	}
-	pt := points[0]
+	defer s.mu.Unlock()
 	band := bandOf(pt, n)
 
 	if pt.MaxTenants < n+1 {
-		s.rejected++
-		s.store.Append(AuditEntry{Op: "reject", Benchmark: req.Benchmark,
+		if _, err := s.store.Append(AuditEntry{Op: "reject", Benchmark: req.Benchmark,
 			SLO: s.cfg.SLO, Population: n, MaxTenants: pt.MaxTenants,
 			TenantsLo: pt.TenantsLo, TenantsHi: pt.TenantsHi,
-			ContentionAtMax: pt.ContentionAtMax, FallbackScan: pt.FallbackScan})
+			ContentionAtMax: pt.ContentionAtMax, FallbackScan: pt.FallbackScan}); err != nil {
+			writeError(w, http.StatusInternalServerError, nil, "persisting rejection: %v", err)
+			return
+		}
+		s.rejected++
 		writeError(w, http.StatusConflict, &band,
 			"admission denied: pool serves at most %d tenants within contention SLO %.2fX, population is %d",
 			pt.MaxTenants, s.cfg.SLO, n)
@@ -479,6 +498,22 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 			Lifeguard: tn.Lifeguard, Seed: tn.Workload.Seed, State: "admitted"},
 		Admission: band,
 	})
+}
+
+// admissionPoint asks whether the pool can serve n+1 suite tenants
+// within the SLO. It is called without s.mu held.
+func (s *Server) admissionPoint(ctx context.Context, n int) (tenant.AdmissionPoint, error) {
+	if s.queryHook != nil {
+		s.queryHook()
+	}
+	points, err := s.eng.PlanAdmissionQuery(ctx,
+		workloads.Config{Scale: s.cfg.Scale, Seed: s.cfg.Seed, Threads: s.cfg.Threads},
+		s.cfg.Core,
+		tenant.AdmissionQuery{Pool: s.cfg.Pool, SLOs: []float64{s.cfg.SLO}, MaxTenants: n + 1})
+	if err != nil {
+		return tenant.AdmissionPoint{}, err
+	}
+	return points[0], nil
 }
 
 // handleEvict starts a drain-then-release departure: the tenant is
@@ -577,16 +612,19 @@ func (s *Server) handlePool(w http.ResponseWriter, r *http.Request) {
 // handleMetrics exposes plain-text counters, one "name value" per line,
 // sorted by name.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	memoHits, memoMisses := s.eng.AdmissionMemoStats()
 	s.mu.Lock()
 	m := map[string]string{
-		"lbad_admitted_total":          strconv.FormatUint(s.admitted, 10),
-		"lbad_rejected_total":          strconv.FormatUint(s.rejected, 10),
-		"lbad_evicted_total":           strconv.FormatUint(s.evicted, 10),
-		"lbad_replays_total":           strconv.FormatUint(s.replays, 10),
-		"lbad_replays_cancelled_total": strconv.FormatUint(s.replaysCancelled, 10),
-		"lbad_live_tenants":            strconv.Itoa(len(s.live)),
-		"lbad_audit_records":           strconv.Itoa(s.store.Len()),
-		"lbad_uptime_seconds":          strconv.FormatInt(int64(time.Since(s.start).Seconds()), 10),
+		"lbad_admitted_total":              strconv.FormatUint(s.admitted, 10),
+		"lbad_rejected_total":              strconv.FormatUint(s.rejected, 10),
+		"lbad_evicted_total":               strconv.FormatUint(s.evicted, 10),
+		"lbad_replays_total":               strconv.FormatUint(s.replays, 10),
+		"lbad_replays_cancelled_total":     strconv.FormatUint(s.replaysCancelled, 10),
+		"lbad_live_tenants":                strconv.Itoa(len(s.live)),
+		"lbad_admission_memo_hits_total":   strconv.FormatUint(memoHits, 10),
+		"lbad_admission_memo_misses_total": strconv.FormatUint(memoMisses, 10),
+		"lbad_audit_records":               strconv.Itoa(s.store.Len()),
+		"lbad_uptime_seconds":              strconv.FormatInt(int64(time.Since(s.start).Seconds()), 10),
 	}
 	if res := s.lastResult; res != nil {
 		m["lbad_pool_utilisation"] = strconv.FormatFloat(res.Utilisation, 'f', 4, 64)

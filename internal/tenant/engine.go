@@ -16,6 +16,9 @@ type Engine struct {
 	workers  int
 	exp      *runner.Engine
 	profiles *runner.Memo[*Profile]
+	// envelope memoizes the admission planner's probes by population
+	// content (admission.go); RunPool itself is never memoized.
+	envelope *runner.Memo[envPoint]
 }
 
 // DefaultProfileCache bounds the engine's profile memo: under tenant
@@ -25,6 +28,11 @@ type Engine struct {
 // and matrix sweep while keeping a serving daemon's footprint flat;
 // SetProfileCacheLimit adjusts it.
 const DefaultProfileCache = 1024
+
+// envelopeCache bounds the admission envelope memo the same way: every
+// probed (population, pool) pair is a key, and a daemon asks about an
+// open-ended sequence of populations.
+const envelopeCache = 1024
 
 // NewEngine returns an engine with the given pool width (<= 0 selects
 // runtime.NumCPU, 1 is the serial reference). exp supplies baseline runs;
@@ -40,6 +48,7 @@ func NewEngine(workers int, exp *runner.Engine) *Engine {
 		workers:  workers,
 		exp:      exp,
 		profiles: runner.NewMemoBounded[*Profile](DefaultProfileCache),
+		envelope: runner.NewMemoBounded[envPoint](envelopeCache),
 	}
 }
 
@@ -57,6 +66,13 @@ func (e *Engine) SetProfileCacheLimit(n int) {
 
 // ProfileCacheLen reports how many profiles the memo currently retains.
 func (e *Engine) ProfileCacheLen() int { return e.profiles.Len() }
+
+// AdmissionMemoStats reports the admission envelope memo's hit and miss
+// counts: a miss is a probe that ran a pool replay, a hit one answered
+// from the memo (or by waiting on an equal probe in flight).
+func (e *Engine) AdmissionMemoStats() (hits, misses uint64) {
+	return e.envelope.Hits(), e.envelope.Misses()
+}
 
 // Runner returns the experiment engine used for baselines, so callers can
 // fold the tenant runs into a shared JSON report.
