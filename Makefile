@@ -101,6 +101,7 @@ daemon-smoke:
 	test -s $$DATA/audit.jsonl; \
 	grep -q '"op":"admit"' $$DATA/audit.jsonl; \
 	grep -q '"op":"evict"' $$DATA/audit.jsonl; \
+	grep -q '"contention_x":' $$DATA/audit.jsonl; \
 	rm -rf $$DATA /tmp/lbad-smoke-bin; \
 	echo "daemon-smoke: OK"
 

@@ -1,10 +1,11 @@
 // Command lbad is the LBA serving daemon: the batch simulator promoted
 // to a long-running service. It admits tenants over HTTP with live
-// admission-control decisions (PlanAdmissionQuery against the configured
-// contention SLO), re-simulates the live population on every membership
-// change, and persists every decision to an append-only JSONL audit log
-// so a restarted daemon recovers its tenant set. See docs/daemon.md for
-// the API and persistence format.
+// admission-control decisions (one memoized replay of the first n+1
+// suite tenants, n the live count, against the configured contention
+// SLO), re-simulates the live population on every membership change, and
+// persists every decision to an append-only JSONL audit log so a
+// restarted daemon recovers its tenant set. See docs/daemon.md for the
+// API and persistence format.
 //
 // Usage:
 //
@@ -77,7 +78,7 @@ func runDaemon(args []string, out io.Writer) error {
 		scale     = fs.Int("scale", serve.DefaultScale, "approximate dynamic instructions per admitted workload")
 		seed      = fs.Uint64("seed", serve.DefaultSeed, "base workload seed (suite draws offset it per round)")
 		threads   = fs.Int("threads", serve.DefaultThreads, "worker threads for multithreaded benchmarks")
-		maxT      = fs.Int("max-tenants", serve.DefaultMaxTenants, "hard population cap (also bounds the admission search)")
+		maxT      = fs.Int("max-tenants", serve.DefaultMaxTenants, "hard population cap")
 		workers   = fs.Int("workers", 0, "profiling worker pool width (0 = NumCPU)")
 		window    = fs.Int("window", 0, "replay decode window in steps (0 = the "+fmt.Sprint(tenant.DefaultStepWindow)+"-step default)")
 		shards    = fs.Int("shards", 0, "partition the pool into K sub-pools replayed in parallel (0/1 = unsharded)")
@@ -192,8 +193,8 @@ func (c *client) do(method, path string, body io.Reader, v any) error {
 		var e serve.ErrorResponse
 		if json.Unmarshal(blob, &e) == nil && e.Error != "" {
 			if e.Admission != nil {
-				return fmt.Errorf("%s (band: max %d tenants, lo %d, hi %d, contention %.2fX at max)",
-					e.Error, e.Admission.MaxTenants, e.Admission.TenantsLo, e.Admission.TenantsHi, e.Admission.ContentionAtMax)
+				return fmt.Errorf("%s (measured %.2fX contention with %d tenants, SLO %.2fX)",
+					e.Error, e.Admission.ContentionX, e.Admission.Population+1, e.Admission.SLO)
 			}
 			return errors.New(e.Error)
 		}
@@ -285,8 +286,8 @@ func clientAdmit(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "admitted tenant %d: %s (%s, seed %d)\n",
 		resp.Tenant.ID, resp.Tenant.Name, resp.Tenant.Lifeguard, resp.Tenant.Seed)
-	fmt.Fprintf(out, "admission      pool serves up to %d tenants within SLO %.2fX (contention %.2fX at max)\n",
-		resp.Admission.MaxTenants, resp.Admission.SLO, resp.Admission.ContentionAtMax)
+	fmt.Fprintf(out, "admission      %d tenants measure %.2fX contention, within SLO %.2fX\n",
+		resp.Admission.Population+1, resp.Admission.ContentionX, resp.Admission.SLO)
 	return nil
 }
 

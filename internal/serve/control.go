@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"repro/internal/tenant"
 )
@@ -124,6 +125,13 @@ func (s *Server) replayOnce() bool {
 		res, err = s.eng.RunPool(ctx, pop, s.cfg.Pool)
 	}
 	cancel()
+	// The snapshot is written before the result is installed, so a
+	// WaitIdle that returns has seen its outcome, and off the lock, so
+	// its fsyncs never hold up a read.
+	var werr error
+	if err == nil {
+		werr = s.store.WriteArtifact("pool.json", res.Cell())
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -142,7 +150,12 @@ func (s *Server) replayOnce() bool {
 		return s.popGen != gen
 	}
 	s.replays++
+	// A snapshot that failed to persist does not unseat the result; it
+	// is reported like a failed replay.
 	s.lastErr = nil
+	if werr != nil {
+		s.lastErr = fmt.Errorf("serve: writing the pool snapshot: %w", werr)
+	}
 	s.lastResult = res
 	s.lastIDs = ids
 	s.installedLocked(gen)
@@ -158,7 +171,6 @@ func (s *Server) replayOnce() bool {
 		delete(s.live, id)
 		s.order = removeID(s.order, id)
 	}
-	s.store.WriteArtifact("pool.json", res.Cell())
 	return s.popGen != s.resultGen
 }
 
@@ -191,8 +203,8 @@ func (s *Server) WaitIdle(ctx context.Context) error {
 	}
 }
 
-// LastError reports the most recent replay failure (nil after a
-// successful replay) — surfaced in tests and the status CLI.
+// LastError reports the most recent failure to replay or to persist the
+// pool snapshot (nil after a replay that did both).
 func (s *Server) LastError() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

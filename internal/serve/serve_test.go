@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/runner"
 	"repro/internal/tenant"
 )
 
@@ -96,8 +100,8 @@ func TestLifecycle(t *testing.T) {
 		if ar.Tenant.ID != i+1 {
 			t.Errorf("admit %d: id %d, want %d", i, ar.Tenant.ID, i+1)
 		}
-		if ar.Admission.MaxTenants < i+1 {
-			t.Errorf("admit %d: admitted but band says max %d", i, ar.Admission.MaxTenants)
+		if x := ar.Admission.ContentionX; x < 1 || x > ar.Admission.SLO {
+			t.Errorf("admit %d: admitted at contention %.2fX, SLO %.2fX", i, x, ar.Admission.SLO)
 		}
 		if ar.Admission.Population != i {
 			t.Errorf("admit %d: band population %d, want %d", i, ar.Admission.Population, i)
@@ -105,8 +109,8 @@ func TestLifecycle(t *testing.T) {
 		admitted = append(admitted, ar)
 	}
 	// The two suite draws must be the suite's first two benchmarks in
-	// order — the planner's candidate populations and the live set are
-	// the same sequence.
+	// order — the populations the admission check replays and the live
+	// set are the same sequence.
 	if admitted[0].Tenant.Name == admitted[1].Tenant.Name {
 		t.Errorf("both draws admitted %q; round-robin should advance", admitted[0].Tenant.Name)
 	}
@@ -176,7 +180,7 @@ func TestLifecycle(t *testing.T) {
 	// Metrics echo the lifecycle.
 	metrics := getMetrics(t, ts.URL)
 	// Two admissions asked two first-time questions (one tenant, then
-	// two), each one envelope probe that ran a replay.
+	// two), each a memo miss that ran one replay.
 	for _, want := range []string{"lbad_admitted_total 2", "lbad_evicted_total 1", "lbad_live_tenants 1", "lbad_audit_records 3",
 		"lbad_admission_memo_hits_total 0", "lbad_admission_memo_misses_total 2"} {
 		if !strings.Contains(metrics, want) {
@@ -187,8 +191,8 @@ func TestLifecycle(t *testing.T) {
 
 // TestAdmissionRejection pins the 409 path: a 1-core pool with a
 // zero-tolerance SLO admits its first tenant (a lone tenant on one core
-// pays no contention) and rejects the second with the bisection band in
-// the body.
+// pays no contention) and rejects the second with the measured decision
+// in the body.
 func TestAdmissionRejection(t *testing.T) {
 	srv, ts := startServer(t, rejectingConfig(), t.TempDir())
 	defer srv.Shutdown(context.Background())
@@ -209,8 +213,8 @@ func TestAdmissionRejection(t *testing.T) {
 	if er.Admission == nil {
 		t.Fatal("409 body carries no admission band")
 	}
-	if er.Admission.MaxTenants != 1 || er.Admission.TenantsLo != 1 || er.Admission.TenantsHi != 1 {
-		t.Errorf("band = %+v, want max/lo/hi 1", er.Admission)
+	if er.Admission.Population != 1 || er.Admission.ContentionX <= 1.0 {
+		t.Errorf("band = %+v, want population 1 and contention above 1.0X", er.Admission)
 	}
 	if er.Admission.SLO != 1.0 {
 		t.Errorf("band SLO = %g, want 1.0", er.Admission.SLO)
@@ -219,7 +223,7 @@ func TestAdmissionRejection(t *testing.T) {
 	// The rejection is durable evidence.
 	found := false
 	for _, e := range srv.store.Entries() {
-		if e.Op == "reject" && e.MaxTenants == 1 {
+		if e.Op == "reject" && e.Population == 1 && e.ContentionX == er.Admission.ContentionX {
 			found = true
 		}
 	}
@@ -327,7 +331,7 @@ func TestCrashRecovery(t *testing.T) {
 
 	// The sequences continue: the next admit takes id 4 and suite draw 4,
 	// exactly what the pre-crash daemon would have drawn.
-	wantNext := srv2.drawTenant(3)
+	wantNext := tenant.SuiteTenant(3, srv2.cfg.workload(srv2.cfg.Seed), core.DefaultConfig())
 	aresp := postJSON(t, ts2.URL+"/v1/tenants", "")
 	if aresp.StatusCode != http.StatusCreated {
 		t.Fatalf("post-restart admit: status %d", aresp.StatusCode)
@@ -506,8 +510,8 @@ func getMetrics(t *testing.T, url string) string {
 }
 
 // TestRepeatedRejectionReplaysNothing: asking the same question of an
-// unchanged population is answered from the engine's envelope memo — the
-// second identical 409 runs no replay and carries the same band.
+// unchanged population is answered from the server's admission memo —
+// the second identical 409 runs no replay and carries the same band.
 func TestRepeatedRejectionReplaysNothing(t *testing.T) {
 	srv, ts := startServer(t, rejectingConfig(), t.TempDir())
 	defer srv.Shutdown(context.Background())
@@ -529,17 +533,16 @@ func TestRepeatedRejectionReplaysNothing(t *testing.T) {
 			t.Fatalf("reject %d carries no band", i)
 		}
 		bands = append(bands, *er.Admission)
-		_, m := srv.eng.AdmissionMemoStats()
-		misses = append(misses, m)
+		misses = append(misses, srv.admission.Misses())
 	}
 	if misses[1] != misses[0] {
-		t.Errorf("second identical rejection replayed %d envelope points, want 0", misses[1]-misses[0])
+		t.Errorf("second identical rejection replayed %d populations, want 0", misses[1]-misses[0])
 	}
 	if bands[0] != bands[1] {
 		t.Errorf("repeated rejection bands differ: %+v vs %+v", bands[0], bands[1])
 	}
-	if hits, _ := srv.eng.AdmissionMemoStats(); hits == 0 {
-		t.Error("no envelope memo hits after a repeated question")
+	if srv.admission.Hits() == 0 {
+		t.Error("no admission memo hits after a repeated question")
 	}
 }
 
@@ -616,8 +619,8 @@ func TestReadsDoNotWaitOnAdmission(t *testing.T) {
 	if code := <-admitted; code != http.StatusCreated {
 		t.Fatalf("admit: status %d, want 201", code)
 	}
-	if _, misses := srv.eng.AdmissionMemoStats(); misses != 1 {
-		t.Errorf("envelope misses = %d, want 1 (the query was a first-time question)", misses)
+	if misses := srv.admission.Misses(); misses != 1 {
+		t.Errorf("admission memo misses = %d, want 1 (the query was a first-time question)", misses)
 	}
 }
 
@@ -637,9 +640,8 @@ func barrierHook(k int) func() {
 }
 
 // TestConcurrentAdmissionsRespectCap: parallel POSTs racing through the
-// off-lock query never admit past the planner's answer or the tenant
-// cap, and every audited decision names the population it committed
-// against.
+// off-lock query never admit past the SLO or the tenant cap, and every
+// audited decision names the population it committed against.
 func TestConcurrentAdmissionsRespectCap(t *testing.T) {
 	const k = 6
 	cases := []struct {
@@ -648,7 +650,7 @@ func TestConcurrentAdmissionsRespectCap(t *testing.T) {
 		admits  int
 		rejects int // audited SLO rejections; the rest are cap 409s
 	}{
-		{"planner bound", rejectingConfig(), 1, k - 1},
+		{"SLO bound", rejectingConfig(), 1, k - 1},
 		{"tenant cap", testConfig(), testConfig().MaxTenants, 0},
 	}
 	for _, c := range cases {
@@ -696,13 +698,13 @@ func TestConcurrentAdmissionsRespectCap(t *testing.T) {
 				}
 				switch e.Op {
 				case "admit":
-					if live+1 > e.MaxTenants {
-						t.Errorf("seq %d admitted tenant %d past the planner's max %d", e.Seq, live+1, e.MaxTenants)
+					if e.ContentionX > c.cfg.SLO {
+						t.Errorf("seq %d admitted tenant %d at contention %.2fX, past the %.2fX SLO", e.Seq, live+1, e.ContentionX, c.cfg.SLO)
 					}
 					live++
 				case "reject":
-					if live+1 <= e.MaxTenants {
-						t.Errorf("seq %d rejected tenant %d within the planner's max %d", e.Seq, live+1, e.MaxTenants)
+					if e.ContentionX <= c.cfg.SLO {
+						t.Errorf("seq %d rejected tenant %d at contention %.2fX, within the %.2fX SLO", e.Seq, live+1, e.ContentionX, c.cfg.SLO)
 					}
 					rejects++
 				}
@@ -711,5 +713,148 @@ func TestConcurrentAdmissionsRespectCap(t *testing.T) {
 				t.Errorf("audit log: %d admits, %d rejects; want %d and %d", live, rejects, c.admits, c.rejects)
 			}
 		})
+	}
+}
+
+// TestAdmissionDecisionMatchesPlanner: the server's one-replay admission
+// check gives the planner's decision. The planner's first probe replays
+// the same n+1 suite draws; its bisection and band only add reporting,
+// so it stays the reference here.
+func TestAdmissionDecisionMatchesPlanner(t *testing.T) {
+	ctx := context.Background()
+	slos := []float64{1.0, 1.3, 2.5, 10}
+	// One engine serves both sides, so each suite tenant is profiled
+	// once. The servers need no store or replay loop to ask, and the
+	// answer they memoize does not depend on the SLO, so the servers of
+	// one pool share a memo.
+	eng := tenant.NewEngine(2, nil)
+	for _, cores := range []int{1, 2} {
+		memo := runner.NewMemo[float64]()
+		for n := 0; n <= 5; n++ {
+			pool := tenant.PoolConfig{Cores: cores, Policy: tenant.PolicyLeastLag}
+			cfg := testConfig().withDefaults()
+			points, err := eng.PlanAdmissionQuery(ctx, cfg.workload(cfg.Seed), core.DefaultConfig(),
+				tenant.AdmissionQuery{Pool: pool, SLOs: slos, MaxTenants: n + 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, slo := range slos {
+				cfg.Pool, cfg.SLO = pool, slo
+				srv := &Server{cfg: cfg, eng: eng, admission: memo}
+				band, err := srv.ask(ctx, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := band.admits(), points[i].MaxTenants >= n+1; got != want {
+					t.Errorf("%d cores, SLO %.1fX, population %d: server admits=%v at %.3fX, planner admits=%v (max %d)",
+						cores, slo, n, got, band.ContentionX, want, points[i].MaxTenants)
+				}
+			}
+		}
+	}
+}
+
+// TestRecoverReadsBandEntries: an audit log written before the decision
+// fields shrank to slo/population/contention_x, with the planner's band
+// on every admit and reject, recovers to the same live set, draw cursor
+// and next id as the same decisions in the current schema.
+func TestRecoverReadsBandEntries(t *testing.T) {
+	const band = `"slo":10,"population":%d,"max_tenants":%d,"tenants_lo":%[2]d,"tenants_hi":%[2]d,"contention_at_max":1.25,"fallback_scan":true`
+	lines := []string{
+		`{"seq":1,"op":"admit","tenant_id":1,"name":"bc","benchmark":"bc","seed":745197,"draw":1,` + fmt.Sprintf(band, 0, 1) + `}`,
+		`{"seq":2,"op":"admit","tenant_id":2,"name":"gnuplot","benchmark":"gnuplot","seed":745197,"draw":2,` + fmt.Sprintf(band, 1, 2) + `}`,
+		`{"seq":3,"op":"reject",` + fmt.Sprintf(band, 2, 2) + `}`,
+		`{"seq":4,"op":"evict","tenant_id":1,"name":"bc","benchmark":"bc","seed":745197}`,
+		`{"seq":5,"op":"admit","tenant_id":3,"name":"mine","benchmark":"mcf","seed":745197,` + fmt.Sprintf(band, 1, 3) + `}`,
+	}
+	type state struct {
+		live         []TenantStatus
+		draws, next  int
+		recoveredLog int
+	}
+	recoverFrom := func(log string) state {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, auditFile), []byte(log), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, ts := startServer(t, testConfig(), dir)
+		defer srv.Shutdown(context.Background())
+		resp, err := http.Get(ts.URL + "/v1/tenants")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl := decode[struct {
+			Tenants []TenantStatus `json:"tenants"`
+		}](t, resp)
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for i := range tl.Tenants {
+			tl.Tenants[i].State = "" // status fields are not recovery
+			tl.Tenants[i].Slowdown, tl.Tenants[i].Contention, tl.Tenants[i].MeanLag, tl.Tenants[i].LagP95 = nil, nil, nil, nil
+		}
+		return state{tl.Tenants, srv.draws, srv.nextID, srv.store.Len()}
+	}
+
+	old := recoverFrom(strings.Join(lines, "\n") + "\n")
+	var current bytes.Buffer
+	for _, line := range lines {
+		var e AuditEntry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(blob, []byte("max_tenants")) {
+			t.Fatalf("re-encoded entry still carries the band: %s", blob)
+		}
+		current.Write(append(blob, '\n'))
+	}
+	cur := recoverFrom(current.String())
+
+	if !reflect.DeepEqual(old, cur) {
+		t.Errorf("old-schema log recovered %+v, current schema %+v", old, cur)
+	}
+	if len(old.live) != 2 || old.live[0].ID != 2 || old.live[0].Name != "gnuplot" || old.live[1].ID != 3 || old.live[1].Name != "mine" {
+		t.Errorf("recovered live set %+v, want tenants 2 (gnuplot) and 3 (mine)", old.live)
+	}
+	if old.draws != 2 || old.next != 4 || old.recoveredLog != len(lines) {
+		t.Errorf("recovered draw cursor %d, next id %d, %d entries; want 2, 4, %d", old.draws, old.next, old.recoveredLog, len(lines))
+	}
+}
+
+// TestSnapshotWriteFailureReported: a replay whose pool snapshot cannot
+// be written still installs its result, and reports the failure through
+// LastError. Removing the store directory makes the write fail even for
+// a root process.
+func TestSnapshotWriteFailureReported(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := startServer(t, testConfig(), dir)
+	defer srv.Shutdown(context.Background())
+	waitIdle(t, srv)
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, ts.URL+"/v1/tenants", "")
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("admit: status %d, want 201", resp.StatusCode)
+	}
+	resp.Body.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if err := srv.WaitIdle(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.LastError(); err == nil || !strings.Contains(err.Error(), "pool snapshot") {
+		t.Errorf("LastError = %v, want the failed pool snapshot write", err)
+	}
+	gresp, err := http.Get(ts.URL + "/v1/pool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pool := decode[PoolStatus](t, gresp); !pool.Fresh || pool.LiveTenants != 1 || pool.MakespanCycles == 0 {
+		t.Errorf("pool status %+v; the replay's result should be installed", pool)
 	}
 }

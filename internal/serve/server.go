@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/runner"
 	"repro/internal/tenant"
 	"repro/internal/workloads"
 )
@@ -31,22 +32,11 @@ type Config struct {
 	Scale   int
 	Seed    uint64
 	Threads int
-	// MaxTenants hard-caps the population regardless of the SLO — it
-	// bounds the admission search, so it is also the most the planner
-	// ever probes. Default 64.
+	// MaxTenants hard-caps the population regardless of the SLO, so the
+	// admission memo holds at most this many answers. Default 64.
 	MaxTenants int
 	// Workers is the profiling pool width (0 = NumCPU).
 	Workers int
-	// Core is the tenants' design point; leave it unset (see SetCore) to
-	// select core.DefaultConfig.
-	Core    core.Config
-	coreSet bool
-}
-
-// SetCore overrides the tenants' design point (the zero core.Config is a
-// meaningful configuration, so "unset" needs an explicit marker).
-func (c *Config) SetCore(cc core.Config) {
-	c.Core, c.coreSet = cc, true
 }
 
 // Defaults for Config's zero fields.
@@ -80,10 +70,12 @@ func (c Config) withDefaults() Config {
 	if c.MaxTenants == 0 {
 		c.MaxTenants = DefaultMaxTenants
 	}
-	if !c.coreSet {
-		c.Core = core.DefaultConfig()
-	}
 	return c
+}
+
+// workload is the workload shape of a tenant with the given seed.
+func (c Config) workload(seed uint64) workloads.Config {
+	return workloads.Config{Scale: c.Scale, Seed: seed, Threads: c.Threads}
 }
 
 func (c Config) validate() error {
@@ -119,6 +111,9 @@ type Server struct {
 	eng   *tenant.Engine
 	store *Store
 	start time.Time
+	// admission memoizes the admission question's answer, the worst
+	// contention of the first n+1 suite draws, keyed by n.
+	admission *runner.Memo[float64]
 
 	root       context.Context
 	rootCancel context.CancelFunc
@@ -132,7 +127,7 @@ type Server struct {
 	resultGen  int // popGen the latest finished replay covered
 	lastResult *tenant.PoolResult
 	lastIDs    []int // result row -> tenant id
-	lastErr    error // most recent replay failure, nil after success
+	lastErr    error // most recent replay or snapshot failure, nil after success
 	cancelRun  context.CancelFunc
 
 	admitted         uint64
@@ -172,6 +167,7 @@ func New(cfg Config, dataDir string) (*Server, error) {
 		cfg:        cfg,
 		eng:        tenant.NewEngine(cfg.Workers, nil),
 		store:      store,
+		admission:  runner.NewMemo[float64](),
 		start:      time.Now(),
 		root:       root,
 		rootCancel: cancel,
@@ -202,10 +198,10 @@ func (s *Server) recover() error {
 	for _, e := range s.store.Entries() {
 		switch e.Op {
 		case "admit":
-			tn, err := s.tenantFromEntry(e)
-			if err != nil {
+			if _, err := workloads.ByName(e.Benchmark); err != nil {
 				return fmt.Errorf("serve: recovering admit seq %d: %w", e.Seq, err)
 			}
+			tn := s.benchmarkTenant(e.Name, e.Benchmark, e.Seed)
 			s.live[e.TenantID] = &liveTenant{id: e.TenantID, tn: tn, draw: e.Draw}
 			s.order = append(s.order, e.TenantID)
 			if e.TenantID >= s.nextID {
@@ -238,75 +234,40 @@ func removeID(order []int, id int) []int {
 	return order
 }
 
-// tenantFromEntry rebuilds an admitted tenant from its audit entry plus
-// the server's own workload/design configuration (which the entry does
-// not duplicate — a store belongs to one daemon configuration).
-func (s *Server) tenantFromEntry(e AuditEntry) (tenant.Tenant, error) {
-	if _, err := workloads.ByName(e.Benchmark); err != nil {
-		return tenant.Tenant{}, err
-	}
+// benchmarkTenant is an admitted tenant running one named benchmark
+// under the daemon's workload shape. Recovery rebuilds admitted tenants
+// with it, since an audit entry carries only what varies per tenant (a
+// store belongs to one daemon configuration).
+func (s *Server) benchmarkTenant(name, benchmark string, seed uint64) tenant.Tenant {
 	return tenant.Tenant{
-		Name:      e.Name,
-		Benchmark: e.Benchmark,
-		Lifeguard: tenant.DefaultLifeguard(e.Benchmark),
-		Workload:  workloads.Config{Scale: s.cfg.Scale, Seed: e.Seed, Threads: s.cfg.Threads},
-		Config:    s.cfg.Core,
-	}, nil
-}
-
-// drawTenant materialises suite draw d (0-based), replicating
-// tenant.FromSuite's round-robin exactly: the planner's candidate
-// populations and the daemon's admitted population stay the same
-// sequence, which is what makes the live admission check meaningful.
-func (s *Server) drawTenant(d int) tenant.Tenant {
-	specs := workloads.All()
-	spec := specs[d%len(specs)]
-	t := tenant.Tenant{
-		Name:      spec.Name,
-		Benchmark: spec.Name,
-		Lifeguard: tenant.DefaultLifeguard(spec.Name),
-		Workload:  workloads.Config{Scale: s.cfg.Scale, Seed: s.cfg.Seed, Threads: s.cfg.Threads},
-		Config:    s.cfg.Core,
+		Name:      name,
+		Benchmark: benchmark,
+		Lifeguard: tenant.DefaultLifeguard(benchmark),
+		Workload:  s.cfg.workload(seed),
+		Config:    core.DefaultConfig(),
 	}
-	if round := d / len(specs); round > 0 {
-		t.Name = fmt.Sprintf("%s#%d", spec.Name, round+1)
-		t.Workload.Seed = s.cfg.Seed + uint64(round)
-	}
-	return t
 }
 
 // AdmitRequest is the optional POST /v1/tenants body: empty (or an empty
 // JSON object) draws the next suite tenant; an explicit benchmark admits
 // that workload instead. Explicit admissions diverge the live population
-// from the planner's suite-drawn candidates, so their admission check is
-// an approximation (documented in docs/daemon.md).
+// from the suite-drawn population the admission check replays, so their
+// check is an approximation (documented in docs/daemon.md).
 type AdmitRequest struct {
 	Benchmark string `json:"benchmark,omitempty"`
 	Name      string `json:"name,omitempty"`
 }
 
-// AdmissionBand echoes the live admission decision in API responses.
+// AdmissionBand echoes the live admission decision in API responses:
+// the worst contention factor the first population+1 suite draws
+// measured, against the SLO it had to meet.
 type AdmissionBand struct {
-	SLO             float64 `json:"slo"`
-	Population      int     `json:"population"`
-	MaxTenants      int     `json:"max_tenants"`
-	TenantsLo       int     `json:"tenants_lo"`
-	TenantsHi       int     `json:"tenants_hi"`
-	ContentionAtMax float64 `json:"contention_at_max"`
-	FallbackScan    bool    `json:"fallback_scan,omitempty"`
+	SLO         float64 `json:"slo"`
+	Population  int     `json:"population"`
+	ContentionX float64 `json:"contention_x"`
 }
 
-func bandOf(pt tenant.AdmissionPoint, population int) AdmissionBand {
-	return AdmissionBand{
-		SLO:             pt.SLO,
-		Population:      population,
-		MaxTenants:      pt.MaxTenants,
-		TenantsLo:       pt.TenantsLo,
-		TenantsHi:       pt.TenantsHi,
-		ContentionAtMax: pt.ContentionAtMax,
-		FallbackScan:    pt.FallbackScan,
-	}
-}
+func (b AdmissionBand) admits() bool { return b.ContentionX <= b.SLO }
 
 // TenantStatus is one tenant's row in GET /v1/tenants. Result fields are
 // pointers: nil until the first replay covering the tenant finishes.
@@ -349,8 +310,8 @@ type AdmitResponse struct {
 	Admission AdmissionBand `json:"admission"`
 }
 
-// ErrorResponse is every non-2xx body; Admission carries the bisection
-// band on SLO rejections (409).
+// ErrorResponse is every non-2xx body; Admission carries the decision on
+// SLO rejections (409).
 type ErrorResponse struct {
 	Error     string         `json:"error"`
 	Admission *AdmissionBand `json:"admission,omitempty"`
@@ -379,14 +340,14 @@ func writeError(w http.ResponseWriter, code int, band *AdmissionBand, format str
 	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...), Admission: band})
 }
 
-// handleAdmit is the live admission path: plan the (population+1)-tenant
-// query against the configured SLO, admit on a meeting band, persist the
-// decision either way, and re-simulate on admit. The query runs off the
-// server mutex, so reads, evictions and the replay loop never wait on
-// it; the decision commits under the mutex only if the population it
-// was asked for is still the live one, and is asked again for the new
-// population otherwise. The question depends only on the live count, and
-// the engine memoizes its envelope, so a repeated question replays
+// handleAdmit is the live admission path: replay the first n+1 suite
+// draws (n is the live count), admit if no tenant's contention exceeds
+// the SLO, persist the decision either way, and re-simulate on admit.
+// The query runs off the server mutex, so reads, evictions and the
+// replay loop never wait on it; the decision commits under the mutex
+// only if the population it was asked for is still the live one, and is
+// asked again for the new population otherwise. The question depends
+// only on n, and its answer is memoized, so a repeated question replays
 // nothing.
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	var req AdmitRequest
@@ -408,7 +369,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	n := len(s.live)
-	var pt tenant.AdmissionPoint
+	var band AdmissionBand
 	for {
 		if n >= s.cfg.MaxTenants {
 			s.mu.Unlock()
@@ -418,7 +379,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.Unlock()
 		var err error
-		if pt, err = s.admissionPoint(r.Context(), n); err != nil {
+		if band, err = s.ask(r.Context(), n); err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				writeError(w, http.StatusServiceUnavailable, nil, "admission query aborted: %v", err)
 				return
@@ -436,20 +397,17 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		n = len(s.live)
 	}
 	defer s.mu.Unlock()
-	band := bandOf(pt, n)
 
-	if pt.MaxTenants < n+1 {
+	if !band.admits() {
 		if _, err := s.store.Append(AuditEntry{Op: "reject", Benchmark: req.Benchmark,
-			SLO: s.cfg.SLO, Population: n, MaxTenants: pt.MaxTenants,
-			TenantsLo: pt.TenantsLo, TenantsHi: pt.TenantsHi,
-			ContentionAtMax: pt.ContentionAtMax, FallbackScan: pt.FallbackScan}); err != nil {
+			SLO: band.SLO, Population: n, ContentionX: band.ContentionX}); err != nil {
 			writeError(w, http.StatusInternalServerError, nil, "persisting rejection: %v", err)
 			return
 		}
 		s.rejected++
 		writeError(w, http.StatusConflict, &band,
-			"admission denied: pool serves at most %d tenants within contention SLO %.2fX, population is %d",
-			pt.MaxTenants, s.cfg.SLO, n)
+			"admission denied: %d tenants measure %.2fX worst contention, above the %.2fX SLO; population is %d",
+			n+1, band.ContentionX, band.SLO, n)
 		return
 	}
 
@@ -459,28 +417,20 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	var tn tenant.Tenant
 	draw := 0
 	if req.Benchmark == "" {
-		tn = s.drawTenant(s.draws)
+		tn = tenant.SuiteTenant(s.draws, s.cfg.workload(s.cfg.Seed), core.DefaultConfig())
 		draw = s.draws + 1
 	} else {
-		tn = tenant.Tenant{
-			Name:      req.Name,
-			Benchmark: req.Benchmark,
-			Lifeguard: tenant.DefaultLifeguard(req.Benchmark),
-			Workload:  workloads.Config{Scale: s.cfg.Scale, Seed: s.cfg.Seed, Threads: s.cfg.Threads},
-			Config:    s.cfg.Core,
+		if req.Name == "" {
+			req.Name = fmt.Sprintf("%s@%d", req.Benchmark, id)
 		}
-		if tn.Name == "" {
-			tn.Name = fmt.Sprintf("%s@%d", req.Benchmark, id)
-		}
+		tn = s.benchmarkTenant(req.Name, req.Benchmark, s.cfg.Seed)
 	}
 
 	// Durability before visibility: the admit is acknowledged only once
 	// its audit entry is synced.
 	if _, err := s.store.Append(AuditEntry{Op: "admit", TenantID: id,
 		Name: tn.Name, Benchmark: tn.Benchmark, Seed: tn.Workload.Seed, Draw: draw,
-		SLO: s.cfg.SLO, Population: n, MaxTenants: pt.MaxTenants,
-		TenantsLo: pt.TenantsLo, TenantsHi: pt.TenantsHi,
-		ContentionAtMax: pt.ContentionAtMax, FallbackScan: pt.FallbackScan}); err != nil {
+		SLO: band.SLO, Population: n, ContentionX: band.ContentionX}); err != nil {
 		writeError(w, http.StatusInternalServerError, nil, "persisting admission: %v", err)
 		return
 	}
@@ -500,20 +450,25 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// admissionPoint asks whether the pool can serve n+1 suite tenants
-// within the SLO. It is called without s.mu held.
-func (s *Server) admissionPoint(ctx context.Context, n int) (tenant.AdmissionPoint, error) {
+// ask answers the admission question at live population n: the worst
+// contention factor of one replay of the first n+1 suite draws on the
+// configured pool, memoized by n. It is called without s.mu held.
+func (s *Server) ask(ctx context.Context, n int) (AdmissionBand, error) {
 	if s.queryHook != nil {
 		s.queryHook()
 	}
-	points, err := s.eng.PlanAdmissionQuery(ctx,
-		workloads.Config{Scale: s.cfg.Scale, Seed: s.cfg.Seed, Threads: s.cfg.Threads},
-		s.cfg.Core,
-		tenant.AdmissionQuery{Pool: s.cfg.Pool, SLOs: []float64{s.cfg.SLO}, MaxTenants: n + 1})
-	if err != nil {
-		return tenant.AdmissionPoint{}, err
-	}
-	return points[0], nil
+	x, err := s.admission.Do(ctx, strconv.Itoa(n), func() (float64, error) {
+		pop, err := tenant.FromSuite(n+1, s.cfg.workload(s.cfg.Seed), core.DefaultConfig())
+		if err != nil {
+			return 0, err
+		}
+		res, err := s.eng.RunPool(ctx, pop, s.cfg.Pool)
+		if err != nil {
+			return 0, err
+		}
+		return res.MaxContentionX, nil
+	})
+	return AdmissionBand{SLO: s.cfg.SLO, Population: n, ContentionX: x}, err
 }
 
 // handleEvict starts a drain-then-release departure: the tenant is
@@ -612,7 +567,6 @@ func (s *Server) handlePool(w http.ResponseWriter, r *http.Request) {
 // handleMetrics exposes plain-text counters, one "name value" per line,
 // sorted by name.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	memoHits, memoMisses := s.eng.AdmissionMemoStats()
 	s.mu.Lock()
 	m := map[string]string{
 		"lbad_admitted_total":              strconv.FormatUint(s.admitted, 10),
@@ -621,8 +575,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"lbad_replays_total":               strconv.FormatUint(s.replays, 10),
 		"lbad_replays_cancelled_total":     strconv.FormatUint(s.replaysCancelled, 10),
 		"lbad_live_tenants":                strconv.Itoa(len(s.live)),
-		"lbad_admission_memo_hits_total":   strconv.FormatUint(memoHits, 10),
-		"lbad_admission_memo_misses_total": strconv.FormatUint(memoMisses, 10),
+		"lbad_admission_memo_hits_total":   strconv.FormatUint(s.admission.Hits(), 10),
+		"lbad_admission_memo_misses_total": strconv.FormatUint(s.admission.Misses(), 10),
 		"lbad_audit_records":               strconv.Itoa(s.store.Len()),
 		"lbad_uptime_seconds":              strconv.FormatInt(int64(time.Since(s.start).Seconds()), 10),
 	}

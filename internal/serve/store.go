@@ -1,10 +1,11 @@
 // Package serve promotes the batch simulator into a serving system: a
 // long-running daemon state machine (Server) that admits and evicts
-// tenants over HTTP with live PlanAdmissionQuery decisions, re-simulates
-// the live population in a background replay loop on every membership
-// change, and persists every admission decision to an append-only JSONL
-// audit log (Store) so a restarted daemon recovers its tenant set. The
-// cmd/lbad command is the thin binary around it.
+// tenants over HTTP, each admission decided by one memoized replay of
+// n+1 suite tenants (n the live count) against a contention SLO,
+// re-simulates the live population in a background replay loop on every
+// membership change, and persists every admission decision to an
+// append-only JSONL audit log (Store) so a restarted daemon recovers its
+// tenant set. The cmd/lbad command is the thin binary around it.
 package serve
 
 import (
@@ -36,17 +37,16 @@ type AuditEntry struct {
 	// Draw is 1 + the suite round-robin draw the tenant consumed, 0 for
 	// explicit-benchmark admissions: recovery must restore the draw
 	// cursor so post-restart admissions continue the same round-robin
-	// sequence the planner assumes.
+	// sequence the admission check replays.
 	Draw int `json:"draw,omitempty"`
 
-	// The live admission decision that produced this entry.
-	SLO             float64 `json:"slo,omitempty"`
-	Population      int     `json:"population,omitempty"` // live tenants when the query ran
-	MaxTenants      int     `json:"max_tenants,omitempty"`
-	TenantsLo       int     `json:"tenants_lo,omitempty"`
-	TenantsHi       int     `json:"tenants_hi,omitempty"`
-	ContentionAtMax float64 `json:"contention_at_max,omitempty"`
-	FallbackScan    bool    `json:"fallback_scan,omitempty"`
+	// The live admission decision that produced this entry: the worst
+	// contention factor the first Population+1 suite draws measured.
+	// Logs written with the older planner band fields still decode; the
+	// unknown fields are ignored.
+	SLO         float64 `json:"slo,omitempty"`
+	Population  int     `json:"population,omitempty"` // live tenants when the query ran
+	ContentionX float64 `json:"contention_x,omitempty"`
 }
 
 // auditFile is the audit log's name under the store directory.
@@ -161,8 +161,9 @@ func (s *Store) Len() int {
 }
 
 // WriteArtifact atomically replaces an auxiliary JSON artifact (the
-// latest pool snapshot, say) under the store directory via a temp file
-// and rename, so a crash never leaves a half-written artifact.
+// latest pool snapshot, say) under the store directory: the temp file is
+// synced before the rename and the directory after it, so a crash leaves
+// either the old artifact or the whole new one.
 func (s *Store) WriteArtifact(name string, v any) error {
 	blob, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -172,16 +173,29 @@ func (s *Store) WriteArtifact(name string, v any) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(append(blob, '\n')); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(append(blob, '\n'))
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(s.dir, name))
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
+	dir, err := os.Open(s.dir)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), filepath.Join(s.dir, name))
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Close syncs and releases the log file. Further Appends fail.

@@ -194,30 +194,6 @@ func (env *envelope) monotone() bool {
 	return true
 }
 
-// envPoint is what the admission envelope keeps of one probe's replay.
-type envPoint struct {
-	MaxContentionX  float64
-	PeakConcurrency int
-}
-
-// envelopePoint replays one candidate population, memoized by content:
-// the key hashes the (churned) tenant set and the whole pool config, so
-// a repeated question — a daemon re-asking at an unchanged population,
-// or a figure re-planning a pool it already probed — costs a map hit.
-func (e *Engine) envelopePoint(ctx context.Context, set []Tenant, pool PoolConfig) (envPoint, error) {
-	key := runner.HashKey(struct {
-		Tenants []Tenant
-		Pool    PoolConfig
-	}{set, pool})
-	return e.envelope.Do(ctx, key, func() (envPoint, error) {
-		res, err := e.RunPool(ctx, set, pool)
-		if err != nil {
-			return envPoint{}, err
-		}
-		return envPoint{res.MaxContentionX, res.PeakConcurrency}, nil
-	})
-}
-
 // searchAnswer is one SLO's answer from one seed's envelope search.
 type searchAnswer struct {
 	maxTenants int
@@ -304,11 +280,7 @@ func admissionSearch(env *envelope, maxN int, slos []float64) (answers []searchA
 // replicated across workload seeds and each point reports the
 // min/max admissible band; the headline MaxTenants is the band minimum.
 // The engine's profile cache means tenant k is profiled once across all
-// populations, seeds excepted, so each probe costs only a replay; the
-// envelope memo means a probe the engine has answered before (an equal
-// churned population under an equal pool) costs no replay at all.
-// Probes still counts every distinct point a query evaluates, cached or
-// not.
+// populations, seeds excepted, so each probe costs only a replay.
 func (e *Engine) PlanAdmissionQuery(ctx context.Context, wcfg workloads.Config, ccfg core.Config, q AdmissionQuery) ([]AdmissionPoint, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
@@ -341,12 +313,12 @@ func (e *Engine) PlanAdmissionQuery(ctx context.Context, wcfg workloads.Config, 
 				if set, err = ApplyChurn(set, q.Churn); err != nil {
 					return 0, err
 				}
-				pt, err := e.envelopePoint(ctx, set, q.Pool)
+				res, err := e.RunPool(ctx, set, q.Pool)
 				if err != nil {
 					return 0, err
 				}
-				peaks[n] = pt.PeakConcurrency
-				return pt.MaxContentionX, nil
+				peaks[n] = res.PeakConcurrency
+				return res.MaxContentionX, nil
 			},
 		}
 		answers, fell, err := admissionSearch(env, q.MaxTenants, q.SLOs)

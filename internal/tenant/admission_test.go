@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/bits"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -127,50 +126,6 @@ func TestPlanAdmission(t *testing.T) {
 		}
 		if p.Probes < 1 {
 			t.Errorf("point spent %d probes", p.Probes)
-		}
-	}
-}
-
-// TestPlanAdmissionMemoizesEnvelope: a repeated query is answered from
-// the engine's envelope memo with no replay and the same points (Probes
-// included), the answers equal a fresh engine's, and populations under
-// another churn layout or another pool are distinct keys.
-func TestPlanAdmissionMemoizesEnvelope(t *testing.T) {
-	ctx := context.Background()
-	q := AdmissionQuery{Pool: PoolConfig{Cores: 2, Policy: PolicyLeastLag}, SLOs: []float64{1.05, 2.0}, MaxTenants: 5}
-	ask := func(eng *Engine, q AdmissionQuery) []AdmissionPoint {
-		t.Helper()
-		points, err := eng.PlanAdmissionQuery(ctx, testWorkload(), core.DefaultConfig(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return points
-	}
-	eng := NewEngine(0, nil)
-	first := ask(eng, q)
-	hits0, misses0 := eng.AdmissionMemoStats()
-	if hits0 != 0 || misses0 != uint64(first[0].Probes) {
-		t.Fatalf("first query: hits/misses = %d/%d, want 0/%d (one replay per probe)", hits0, misses0, first[0].Probes)
-	}
-	again := ask(eng, q)
-	if !reflect.DeepEqual(first, again) {
-		t.Errorf("memoized answer differs:\n%+v\n%+v", first, again)
-	}
-	if hits, misses := eng.AdmissionMemoStats(); misses != misses0 || hits != uint64(first[0].Probes) {
-		t.Errorf("repeated query: hits/misses = %d/%d, want %d/%d", hits, misses, first[0].Probes, misses0)
-	}
-	if fresh := ask(NewEngine(1, nil), q); !reflect.DeepEqual(first, fresh) {
-		t.Errorf("memoized engine and fresh engine disagree:\n%+v\n%+v", first, fresh)
-	}
-
-	churned, onePool := q, q
-	churned.Churn = Churn{Rate: 16}
-	onePool.Pool.Cores = 1
-	for _, other := range []AdmissionQuery{churned, onePool} {
-		_, before := eng.AdmissionMemoStats()
-		ask(eng, other)
-		if _, after := eng.AdmissionMemoStats(); after == before {
-			t.Errorf("query %+v replayed nothing; its populations alias another query's keys", other)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/runner"
 	"repro/internal/workloads"
 )
 
@@ -18,7 +19,7 @@ func TestProfileCacheBounded(t *testing.T) {
 		t.Fatalf("default profile cache limit = %d, want %d", got, DefaultProfileCache)
 	}
 	const limit = 4
-	eng.SetProfileCacheLimit(limit)
+	eng.profiles = runner.NewMemoBounded[*Profile](limit)
 
 	ctx := context.Background()
 	const churned = 3 * limit

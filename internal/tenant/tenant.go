@@ -179,30 +179,36 @@ func DefaultLifeguard(benchmark string) string {
 }
 
 // FromSuite returns n tenants drawn round-robin from the nine-benchmark
-// suite, each with the lifeguard the paper evaluates on it and the given
-// workload scale and design point. Repeated draws of the same benchmark
-// get distinct names (and seeds offset by the repeat count, so the
-// system serves genuinely distinct instances).
+// suite (SuiteTenant 0 through n-1).
 func FromSuite(n int, wcfg workloads.Config, ccfg core.Config) ([]Tenant, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("tenant: need at least one tenant, got %d", n)
 	}
-	specs := workloads.All()
-	tenants := make([]Tenant, 0, n)
-	for i := 0; i < n; i++ {
-		spec := specs[i%len(specs)]
-		t := Tenant{
-			Name:      spec.Name,
-			Benchmark: spec.Name,
-			Lifeguard: DefaultLifeguard(spec.Name),
-			Workload:  wcfg,
-			Config:    ccfg,
-		}
-		if round := i / len(specs); round > 0 {
-			t.Name = fmt.Sprintf("%s#%d", spec.Name, round+1)
-			t.Workload.Seed = wcfg.Seed + uint64(round)
-		}
-		tenants = append(tenants, t)
+	tenants := make([]Tenant, n)
+	for i := range tenants {
+		tenants[i] = SuiteTenant(i, wcfg, ccfg)
 	}
 	return tenants, nil
+}
+
+// SuiteTenant returns suite draw i (0-based): the suite's benchmarks in
+// round-robin order, each with the lifeguard the paper evaluates on it
+// and the given workload scale and design point. Repeated draws of the
+// same benchmark get distinct names (and seeds offset by the repeat
+// count, so the system serves genuinely distinct instances).
+func SuiteTenant(i int, wcfg workloads.Config, ccfg core.Config) Tenant {
+	specs := workloads.All()
+	spec := specs[i%len(specs)]
+	t := Tenant{
+		Name:      spec.Name,
+		Benchmark: spec.Name,
+		Lifeguard: DefaultLifeguard(spec.Name),
+		Workload:  wcfg,
+		Config:    ccfg,
+	}
+	if round := i / len(specs); round > 0 {
+		t.Name = fmt.Sprintf("%s#%d", spec.Name, round+1)
+		t.Workload.Seed = wcfg.Seed + uint64(round)
+	}
+	return t
 }
