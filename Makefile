@@ -2,10 +2,15 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz bench harness fmt vet docs daemon-smoke ci
+.PHONY: build loc test race fuzz bench harness fmt vet docs daemon-smoke ci
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines, perfbench/ excluded: the size every change reports
+# its net effect against.
+loc:
+	@git ls-files -z --cached --others --exclude-standard -- '*.go' ':!:*_test.go' ':!:perfbench/**' | xargs -0 cat | wc -l
 
 test:
 	$(GO) test ./...
@@ -105,4 +110,4 @@ daemon-smoke:
 	rm -rf $$DATA /tmp/lbad-smoke-bin; \
 	echo "daemon-smoke: OK"
 
-ci: fmt vet build test race docs fuzz bench harness daemon-smoke
+ci: fmt vet build loc test race docs fuzz bench harness daemon-smoke

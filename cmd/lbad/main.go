@@ -233,6 +233,9 @@ func clientStatus(args []string, out io.Writer) error {
 		fresh = "fresh"
 	}
 	fmt.Fprintf(out, "replays        %d, latest %s\n", pool.Replays, fresh)
+	if pool.LastError != "" {
+		fmt.Fprintf(out, "last error     %s\n", pool.LastError)
+	}
 	if pool.Replays > 0 {
 		fmt.Fprintf(out, "slowdown       mean %.2fX, max %.2fX\n", pool.MeanSlowdown, pool.MaxSlowdown)
 		fmt.Fprintf(out, "contention     mean %.2fX, max %.2fX\n", pool.MeanContentionX, pool.MaxContentionX)

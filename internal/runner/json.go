@@ -124,12 +124,11 @@ type TenantRow struct {
 type TenantCell struct {
 	Cores  int    `json:"cores"`
 	Policy string `json:"policy"`
-	// Weights, Tiers, DeadlineCycles, MigrationPenalty and
+	// Weights, DeadlineCycles, MigrationPenalty and
 	// WarmthHalfLifeBytes echo the scheduler's policy inputs when the
 	// cell was configured with any, so artifacts stay self-describing
 	// across wfq / priority / deadline / affinity runs.
 	Weights             []float64   `json:"weights,omitempty"`
-	Tiers               []int       `json:"tiers,omitempty"`
 	DeadlineCycles      uint64      `json:"deadline_cycles,omitempty"`
 	MigrationPenalty    uint64      `json:"migration_penalty,omitempty"`
 	WarmthHalfLifeBytes uint64      `json:"warmth_half_life_bytes,omitempty"`

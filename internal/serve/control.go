@@ -144,9 +144,10 @@ func (s *Server) replayOnce() bool {
 			return s.root.Err() == nil
 		}
 		// A failed replay leaves the previous result standing; surface
-		// the failure through staleness (Fresh stays false) rather than
-		// crashing the daemon.
+		// the failure through staleness (Fresh stays false) and LastError
+		// rather than crashing the daemon.
 		s.lastErr = err
+		s.replayFailures++
 		return s.popGen != gen
 	}
 	s.replays++
@@ -155,6 +156,7 @@ func (s *Server) replayOnce() bool {
 	s.lastErr = nil
 	if werr != nil {
 		s.lastErr = fmt.Errorf("serve: writing the pool snapshot: %w", werr)
+		s.replayFailures++
 	}
 	s.lastResult = res
 	s.lastIDs = ids

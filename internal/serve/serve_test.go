@@ -826,15 +826,17 @@ func TestRecoverReadsBandEntries(t *testing.T) {
 
 // TestSnapshotWriteFailureReported: a replay whose pool snapshot cannot
 // be written still installs its result, and reports the failure through
-// LastError. Removing the store directory makes the write fail even for
-// a root process.
+// LastError, the pool status's last_error and the replay-failure
+// counter. A non-empty directory where the snapshot goes makes its
+// rename fail even for a root process, while the audit log stays
+// writable.
 func TestSnapshotWriteFailureReported(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := startServer(t, testConfig(), dir)
 	defer srv.Shutdown(context.Background())
 	waitIdle(t, srv)
 
-	if err := os.RemoveAll(dir); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "pool.json", "occupied"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	resp := postJSON(t, ts.URL+"/v1/tenants", "")
@@ -854,7 +856,47 @@ func TestSnapshotWriteFailureReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool := decode[PoolStatus](t, gresp); !pool.Fresh || pool.LiveTenants != 1 || pool.MakespanCycles == 0 {
+	pool := decode[PoolStatus](t, gresp)
+	if !pool.Fresh || pool.LiveTenants != 1 || pool.MakespanCycles == 0 {
 		t.Errorf("pool status %+v; the replay's result should be installed", pool)
+	}
+	if !strings.Contains(pool.LastError, "pool snapshot") {
+		t.Errorf("pool status last_error = %q, want the failed pool snapshot write", pool.LastError)
+	}
+	if m := getMetrics(t, ts.URL); !strings.Contains(m, "lbad_replay_failures_total 1\n") {
+		t.Errorf("metrics do not count the failed snapshot:\n%s", m)
+	}
+}
+
+// TestAdmitFailsClosedWithoutDataDir: once the data directory is removed
+// under a live daemon, an admission cannot be made durable, so it is a
+// 500, not a 201 whose audit entry lands in an unlinked file, and the
+// tenant neither joins the live set nor is counted.
+func TestAdmitFailsClosedWithoutDataDir(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := startServer(t, testConfig(), dir)
+	defer srv.Shutdown(context.Background())
+	waitIdle(t, srv)
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, ts.URL+"/v1/tenants", "")
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("admit without a data directory: status %d, want 500", resp.StatusCode)
+	}
+	if er := decode[ErrorResponse](t, resp); !strings.Contains(er.Error, "persisting admission") {
+		t.Errorf("500 error %q does not say persisting admission", er.Error)
+	}
+	gresp, err := http.Get(ts.URL + "/v1/pool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pool := decode[PoolStatus](t, gresp); pool.LiveTenants != 0 {
+		t.Errorf("%d live tenants after a failed admission, want 0", pool.LiveTenants)
+	}
+	m := getMetrics(t, ts.URL)
+	if !strings.Contains(m, "lbad_admitted_total 0\n") || !strings.Contains(m, "lbad_audit_records 0\n") {
+		t.Errorf("an unpersisted admission was counted:\n%s", m)
 	}
 }

@@ -135,6 +135,7 @@ type Server struct {
 	evicted          uint64
 	replays          uint64
 	replaysCancelled uint64
+	replayFailures   uint64 // replays or snapshot writes that failed
 
 	kick chan struct{}
 	done chan struct{}
@@ -158,7 +159,7 @@ func New(cfg Config, dataDir string) (*Server, error) {
 	if err := tenant.ValidateStepWindow(cfg.Pool.StepWindow); err != nil {
 		return nil, err
 	}
-	store, err := Open(dataDir)
+	store, entries, err := open(dataDir)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +177,7 @@ func New(cfg Config, dataDir string) (*Server, error) {
 		kick:       make(chan struct{}, 1),
 		done:       make(chan struct{}),
 	}
-	if err := s.recover(); err != nil {
+	if err := s.recover(entries); err != nil {
 		cancel()
 		store.Close()
 		return nil, err
@@ -189,13 +190,14 @@ func New(cfg Config, dataDir string) (*Server, error) {
 	return s, nil
 }
 
-// recover folds the audit log back into the live set: admits insert,
-// evicts remove (an eviction is durable at request time — a drain that a
-// crash interrupted does not resurrect the tenant), rejects are skipped.
-// The draw cursor and id counter resume past the highest recorded, so
-// post-restart admissions continue the same sequences.
-func (s *Server) recover() error {
-	for _, e := range s.store.Entries() {
+// recover folds the audit entries read at open back into the live set: admits
+// insert, evicts remove (an eviction is durable at request time — a drain
+// that a crash interrupted does not resurrect the tenant), rejects are
+// skipped. The draw cursor and id counter resume past the highest
+// recorded, so post-restart admissions continue the same sequences. The
+// entries are not kept once folded.
+func (s *Server) recover(entries []AuditEntry) error {
+	for _, e := range entries {
 		switch e.Op {
 		case "admit":
 			if _, err := workloads.ByName(e.Benchmark); err != nil {
@@ -302,6 +304,9 @@ type PoolStatus struct {
 	MakespanCycles  uint64  `json:"makespan_cycles"`
 	PeakConcurrency int     `json:"peak_concurrency"`
 	Replays         uint64  `json:"replays"`
+	// LastError is the most recent replay or pool-snapshot failure,
+	// empty after a replay that did both.
+	LastError string `json:"last_error,omitempty"`
 }
 
 // AdmitResponse is the 201 body: the admitted tenant and the decision.
@@ -547,6 +552,9 @@ func (s *Server) handlePool(w http.ResponseWriter, r *http.Request) {
 		Fresh:       s.resultGen == s.popGen,
 		Replays:     s.replays,
 	}
+	if s.lastErr != nil {
+		st.LastError = s.lastErr.Error()
+	}
 	for _, lt := range s.live {
 		if lt.draining {
 			st.Draining++
@@ -574,6 +582,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"lbad_evicted_total":               strconv.FormatUint(s.evicted, 10),
 		"lbad_replays_total":               strconv.FormatUint(s.replays, 10),
 		"lbad_replays_cancelled_total":     strconv.FormatUint(s.replaysCancelled, 10),
+		"lbad_replay_failures_total":       strconv.FormatUint(s.replayFailures, 10),
 		"lbad_live_tenants":                strconv.Itoa(len(s.live)),
 		"lbad_admission_memo_hits_total":   strconv.FormatUint(s.admission.Hits(), 10),
 		"lbad_admission_memo_misses_total": strconv.FormatUint(s.admission.Misses(), 10),

@@ -58,11 +58,14 @@ const auditFile = "audit.jsonl"
 // acknowledged survives kill -9; a torn final line (the crash landed
 // mid-write) is truncated away on the next Open, which is exactly the
 // "decision was never acknowledged" semantics an append-only log wants.
+// The store keeps only a count of its entries: the log on disk is the
+// record, and the daemon folds it into its live set once, at recovery.
 type Store struct {
 	mu      sync.Mutex
 	dir     string
 	f       *os.File
-	entries []AuditEntry
+	info    os.FileInfo // f's identity, for checkLinked
+	count   int
 	nextSeq uint64
 	now     func() time.Time
 }
@@ -72,13 +75,53 @@ type Store struct {
 // truncated (interrupted append); a malformed line anywhere earlier is
 // corruption and fails the open.
 func Open(dir string) (*Store, error) {
+	s, _, err := open(dir)
+	return s, err
+}
+
+// open is Open handing back the recovered entries as well, for the one
+// caller that folds them into state (Server recovery).
+func open(dir string) (*Store, []AuditEntry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	path := filepath.Join(dir, auditFile)
+	entries, valid, err := readLog(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := f.Truncate(valid); err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	if _, err := f.Seek(valid, io.SeekStart); err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	s := &Store{dir: dir, f: f, info: info, count: len(entries), nextSeq: 1, now: time.Now}
+	if n := len(entries); n > 0 {
+		s.nextSeq = entries[n-1].Seq + 1
+	}
+	return s, entries, nil
+}
+
+// readLog parses the audit log at path, returning its entries and the
+// length of the prefix they occupy. A missing log is empty; a final line
+// without its newline is a torn tail and is left out of both; a
+// malformed line before it is corruption.
+func readLog(path string) ([]AuditEntry, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
-		return nil, err
+		return nil, 0, err
 	}
 	var entries []AuditEntry
 	valid := 0
@@ -91,29 +134,13 @@ func Open(dir string) (*Store, error) {
 		if len(bytes.TrimSpace(line)) > 0 {
 			var e AuditEntry
 			if err := json.Unmarshal(line, &e); err != nil {
-				return nil, fmt.Errorf("serve: audit log %s corrupt at byte %d: %w", path, valid, err)
+				return nil, 0, fmt.Errorf("serve: audit log %s corrupt at byte %d: %w", path, valid, err)
 			}
 			entries = append(entries, e)
 		}
 		valid += nl + 1
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Truncate(int64(valid)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(int64(valid), io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	s := &Store{dir: dir, f: f, entries: entries, nextSeq: 1, now: time.Now}
-	if n := len(entries); n > 0 {
-		s.nextSeq = entries[n-1].Seq + 1
-	}
-	return s, nil
+	return entries, int64(valid), nil
 }
 
 // Dir reports the store directory.
@@ -121,12 +148,18 @@ func (s *Store) Dir() string { return s.dir }
 
 // Append stamps the entry with the next sequence number and the current
 // time, writes it as one JSONL line and syncs before returning: an
-// acknowledged decision is on disk.
+// acknowledged decision is on disk. It fails closed: if the log's path no
+// longer names the open file (the data directory was removed or the log
+// replaced under the daemon), nothing is written, because an entry that
+// lands only in an unlinked file is lost on restart.
 func (s *Store) Append(e AuditEntry) (AuditEntry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return e, fmt.Errorf("serve: store is closed")
+	}
+	if err := s.checkLinked(); err != nil {
+		return e, err
 	}
 	e.Seq = s.nextSeq
 	e.Time = s.now().UTC().Format(time.RFC3339Nano)
@@ -141,23 +174,42 @@ func (s *Store) Append(e AuditEntry) (AuditEntry, error) {
 		return e, err
 	}
 	s.nextSeq++
-	s.entries = append(s.entries, e)
+	s.count++
 	return e, nil
 }
 
-// Entries returns a copy of every recovered and appended entry, in
-// sequence order.
+// checkLinked reports an error unless the log's path still names the
+// open file. Callers hold s.mu.
+func (s *Store) checkLinked() error {
+	path := filepath.Join(s.dir, auditFile)
+	named, err := os.Stat(path)
+	if err != nil {
+		return fmt.Errorf("serve: audit log is gone: %w", err)
+	}
+	if !os.SameFile(s.info, named) {
+		return fmt.Errorf("serve: %s no longer names the open audit log", path)
+	}
+	return nil
+}
+
+// Entries reads every entry of the log back from disk, in sequence
+// order, for audits of a store's history; it returns nil if the log
+// cannot be read. The daemon itself never calls it.
 func (s *Store) Entries() []AuditEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]AuditEntry(nil), s.entries...)
+	entries, _, err := readLog(filepath.Join(s.dir, auditFile))
+	if err != nil {
+		return nil
+	}
+	return entries
 }
 
 // Len reports the number of durable entries.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return s.count
 }
 
 // WriteArtifact atomically replaces an auxiliary JSON artifact (the

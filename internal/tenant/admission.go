@@ -112,23 +112,6 @@ type AdmissionQuery struct {
 	// k*SeedStride) and reports the min/max admissible band; 0 or 1 runs
 	// the single base seed.
 	Seeds int
-	// SeedStride spaces the replicated seeds; 0 selects the package-level
-	// SeedStride default. An explicit stride must keep the replicas'
-	// populations disjoint: FromSuite already offsets repeated draws of a
-	// benchmark by their round (tenant i runs at Seed + i/9), so a stride
-	// at or below the largest round would replay overlapping workloads
-	// and report a spuriously tight — in the degenerate stride-small
-	// limit, zero-width — confidence band as if the seeds agreed.
-	// validate rejects those.
-	SeedStride uint64
-}
-
-// seedStride is the query's effective seed spacing.
-func (q AdmissionQuery) seedStride() uint64 {
-	if q.SeedStride == 0 {
-		return SeedStride
-	}
-	return q.SeedStride
 }
 
 func (q AdmissionQuery) validate() error {
@@ -145,15 +128,6 @@ func (q AdmissionQuery) validate() error {
 	}
 	if q.Seeds < 0 {
 		return fmt.Errorf("tenant: admission search needs Seeds >= 0, got %d", q.Seeds)
-	}
-	if q.Seeds > 1 {
-		// The largest populations draw the suite ceil(MaxTenants/9) times,
-		// so per-tenant seeds span offsets [0, (MaxTenants-1)/9]; replica
-		// seed ranges are disjoint iff the stride clears that span.
-		if maxRound := uint64((q.MaxTenants - 1) / len(workloads.All())); q.seedStride() <= maxRound {
-			return fmt.Errorf("tenant: admission seed stride %d collides replica populations (%d tenants span seed offsets 0-%d); use a stride > %d, or 0 for the default",
-				q.seedStride(), q.MaxTenants, maxRound, maxRound)
-		}
 	}
 	return q.Churn.Validate()
 }
@@ -300,7 +274,7 @@ func (e *Engine) PlanAdmissionQuery(ctx context.Context, wcfg workloads.Config, 
 	perSeedPeaks := make([]map[int]int, seeds)
 	for k := 0; k < seeds; k++ {
 		seedCfg := wcfg
-		seedCfg.Seed = wcfg.Seed + uint64(k)*q.seedStride()
+		seedCfg.Seed = wcfg.Seed + uint64(k)*SeedStride
 		peaks := map[int]int{}
 		perSeedPeaks[k] = peaks
 		env := &envelope{

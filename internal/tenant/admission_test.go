@@ -33,41 +33,31 @@ func TestPlanAdmissionRejectsBadInputs(t *testing.T) {
 }
 
 // TestAdmissionSeedStride pins the replication-stride bugfix: Seeds > 1
-// with an unset SeedStride used to collapse every replica onto the base
-// seed and report a zero-width confidence band as if the seeds agreed.
-// The zero value now selects the package default, and an explicit stride
-// too small to keep replica populations disjoint is rejected up front.
+// used to collapse every replica onto the base seed and report a
+// zero-width confidence band as if the seeds agreed. Replica k now runs
+// at Seed + k*SeedStride: after a two-seed query, profiling the second
+// replica's population at that seed is a cache hit.
 func TestAdmissionSeedStride(t *testing.T) {
-	if got := (AdmissionQuery{}).seedStride(); got != SeedStride {
-		t.Errorf("zero SeedStride resolves to %d, want the package default %d", got, SeedStride)
-	}
-	if got := (AdmissionQuery{SeedStride: 37}).seedStride(); got != 37 {
-		t.Errorf("explicit SeedStride resolves to %d, want 37", got)
-	}
-
 	eng := NewEngine(1, nil)
 	ctx := context.Background()
-	pool := PoolConfig{Cores: 1}
-	// 20 tenants draw the nine-benchmark suite three times, so per-tenant
-	// seeds span offsets 0-2: strides 1 and 2 overlap the replicas'
-	// populations and must be rejected at the entry point, before any
-	// replay runs.
-	for _, stride := range []uint64{1, 2} {
-		q := AdmissionQuery{Pool: pool, SLOs: []float64{2}, MaxTenants: 20, Seeds: 2, SeedStride: stride}
-		if _, err := eng.PlanAdmissionQuery(ctx, testWorkload(), core.DefaultConfig(), q); err == nil {
-			t.Errorf("stride %d with 20 tenants must be rejected: replica populations overlap", stride)
-		}
+	q := AdmissionQuery{Pool: PoolConfig{Cores: 1}, SLOs: []float64{2}, MaxTenants: 1, Seeds: 2}
+	if _, err := eng.PlanAdmissionQuery(ctx, testWorkload(), core.DefaultConfig(), q); err != nil {
+		t.Fatal(err)
 	}
-	// Stride 3 clears the offset span, and a non-replicated query never
-	// collides regardless of its stride; validate directly to keep the
-	// accepted side replay-free.
-	ok := AdmissionQuery{Pool: pool, SLOs: []float64{2}, MaxTenants: 20, Seeds: 2, SeedStride: 3}
-	if err := ok.validate(); err != nil {
-		t.Errorf("stride 3 with 20 tenants should validate: %v", err)
+	if got := eng.ProfileCacheLen(); got != 2 {
+		t.Fatalf("two one-tenant replicas profiled %d tenants, want 2", got)
 	}
-	single := AdmissionQuery{Pool: pool, SLOs: []float64{2}, MaxTenants: 20, SeedStride: 1}
-	if err := single.validate(); err != nil {
-		t.Errorf("single-seed query should accept any stride: %v", err)
+	replica := testWorkload()
+	replica.Seed += SeedStride
+	pop, err := FromSuite(1, replica, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Profile(ctx, pop[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.ProfileCacheLen(); got != 2 {
+		t.Errorf("the second replica did not run at Seed + SeedStride: profiling it there added a cache entry (%d retained)", got)
 	}
 }
 

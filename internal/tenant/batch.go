@@ -1,72 +1,14 @@
 package tenant
 
-// This file is the scheduler half of the replay fast path: the BatchPicker
-// contract that lets a policy amortise its ranking work over a *run* of
+// This file is the scheduler half of the replay fast path: the built-in
+// policies' run methods (BeginRun, PickNext and WarmthSensitive of the
+// Scheduler contract), which amortise ranking work over a *run* of
 // consecutive records from one tenant, plus the incremental rank
 // structures (a maintained core order, a frozen-rivals virtual-time rank)
-// the built-in policies use to implement it. The replay half — run
-// discovery in the virtual-time merge — lives in pool.go. The per-record
-// reference (ReplayPoolReference) never calls anything here; it is the
-// differential oracle the batch path is pinned against, byte for byte, by
-// TestBatchedDispatchMatchesPerRecord.
-
-// BatchPicker is an optional scheduler fast path. The batched replay
-// groups consecutive records of a single tenant into runs: BeginRun is
-// called once when a run starts (and again mid-run if a tenant arrival
-// changes the live-tenant set), then PickNext once per record in place of
-// Pick. PickNext must return exactly the core Pick would — the batched
-// and per-record replays are pinned byte-identical — but it may reuse
-// rank state computed in BeginRun instead of re-deriving it per record,
-// because during a run the scheduler's inputs are frozen except for:
-//
-//   - the running tenant's TenantView (service accumulators, ChannelFree);
-//   - CoreView.FreeAt of cores chosen earlier in the run (each updated
-//     after the PickNext that chose it, before the next call).
-//
-// Every other tenant's view — virtual time, tier, Done/Absent — cannot
-// change mid-run, which is what makes a rank snapshot sound.
-//
-// One refresh is deliberately skipped on the batch path:
-// CoreView.Warmth and CoreView.LastTenant are NOT maintained between
-// PickNext calls (refreshing every core's warmth per record is exactly
-// the overhead batching removes). A plain BatchPicker must therefore not
-// read them. A policy that needs them implements WarmthBatchPicker as
-// well, which buys the maintained-warmth guarantee at a small per-run
-// cost.
-type BatchPicker interface {
-	Scheduler
-	// BeginRun marks the start of a run of consecutive records from
-	// tenant t. cores and tenants are current as of the call (warmth
-	// fields excepted, per the interface contract).
-	BeginRun(t int, cores []CoreView, tenants []TenantView)
-	// PickNext schedules the next record of the run and must equal what
-	// Pick would return; the replay updates cores[result].FreeAt and the
-	// running tenant's view before the next call.
-	PickNext(req Request, cores []CoreView, tenants []TenantView) int
-}
-
-// WarmthBatchPicker marks a BatchPicker whose PickNext may read
-// CoreView.Warmth or CoreView.LastTenant (deadline and affinity, whose
-// cost projections price a cold core; wfq and priority, whose rank
-// mapping breaks FreeAt ties warmest-first once migrations are priced).
-// For these the batched replay refreshes every core's warmth once at
-// BeginRun and then maintains only the *picked* core's fields after each
-// record — O(1) per record against the per-record path's every-core walk.
-// That maintenance is exact, not an approximation: during a run only the
-// running tenant is served, so its warmth can change only on the cores
-// that served it (idle decay included — it lands on the serving core at
-// serve time), and the replay updates exactly those. Policies that never
-// read warmth stay plain BatchPickers and skip the per-run refresh
-// entirely.
-type WarmthBatchPicker interface {
-	BatchPicker
-	// WarmthSensitive reports whether this replay's PickNext will read
-	// the warmth fields: constant true for deadline and affinity, and
-	// penalty-gated for wfq and priority, whose warmth tie-break is
-	// active only when the migration model is on. A false return lets
-	// the replay skip the per-run warmth refresh entirely.
-	WarmthSensitive() bool
-}
+// they use. The replay half — run discovery in the virtual-time merge —
+// lives in pool.go. The per-record reference (ReplayPoolReference) calls
+// only Pick; it is the differential oracle the run methods are pinned
+// against, byte for byte, by TestBatchedDispatchMatchesPerRecord.
 
 // coreOrder maintains the pool's cores sorted ascending by
 // (FreeAt, index) — the order earliestFree and coreByRank's selection
@@ -275,7 +217,7 @@ func (k *vtimeTracker) rank(self *TenantView) (rank, active int) {
 	return k.pos, len(k.rivals) + 1
 }
 
-// --- BatchPicker implementations -----------------------------------------
+// --- Run methods of the built-in policies -------------------------------
 
 // roundRobin's rotation ignores every view, so the batch path is the
 // per-record decision with the refresh overhead skipped.
@@ -285,6 +227,8 @@ func (r *roundRobin) PickNext(req Request, cores []CoreView, tenants []TenantVie
 	return r.Pick(req, cores, tenants)
 }
 
+func (*roundRobin) WarmthSensitive() bool { return false }
+
 func (l *leastLag) BeginRun(int, []CoreView, []TenantView) {}
 
 func (l *leastLag) PickNext(_ Request, cores []CoreView, _ []TenantView) int {
@@ -293,6 +237,8 @@ func (l *leastLag) PickNext(_ Request, cores []CoreView, _ []TenantView) int {
 	l.ord.sync(cores)
 	return l.ord.at(0)
 }
+
+func (*leastLag) WarmthSensitive() bool { return false }
 
 func (w *wfq) BeginRun(t int, _ []CoreView, tenants []TenantView) {
 	w.rank.begin(t, tenants, false)
@@ -330,9 +276,9 @@ func (p *priority) PickNext(req Request, cores []CoreView, tenants []TenantView)
 func (p *priority) WarmthSensitive() bool { return p.penalty > 0 }
 
 // deadline and affinity rank cores by projected finish, which prices the
-// migration charge from CoreView.Warmth — so they join the batch path as
-// WarmthBatchPickers: the replay keeps the warmth views exact (see the
-// interface doc) and the per-record decision logic runs unchanged.
+// migration charge from CoreView.Warmth — so they are always warmth
+// sensitive: the replay keeps the warmth views exact (see the Scheduler
+// doc) and the per-record decision logic runs unchanged.
 
 func (deadline) BeginRun(int, []CoreView, []TenantView) {}
 

@@ -8,7 +8,8 @@ import (
 // SeedStride separates the workload seeds of repeated-seed replications
 // (admission confidence bands, lbasim -seeds): replication k runs at
 // Seed + k*SeedStride. The stride is large so replication seeds cannot
-// collide with FromSuite's per-round +1 offsets.
+// collide with FromSuite's per-round +1 offsets below about nine million
+// tenants (nine suite benchmarks a round).
 const SeedStride = 1_000_003
 
 // Churn describes a rolling tenant population for planning sweeps: instead

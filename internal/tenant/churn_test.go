@@ -193,8 +193,18 @@ func (p *liveProbe) Pick(req Request, cores []CoreView, tenants []TenantView) in
 			p.t.Errorf("tenant %d visible at cycle %d before its arrival at %d", i, req.Ready, p.arrives[i])
 		}
 	}
-	return (&leastLag{}).Pick(req, cores, tenants)
+	return earliestFree(cores)
 }
+
+func (*liveProbe) BeginRun(int, []CoreView, []TenantView) {}
+
+// PickNext runs the same visibility checks as Pick, on the views the
+// production replay keeps for its run path.
+func (p *liveProbe) PickNext(req Request, cores []CoreView, tenants []TenantView) int {
+	return p.Pick(req, cores, tenants)
+}
+
+func (*liveProbe) WarmthSensitive() bool { return false }
 
 // TestChurnReplayInvariants drives a staggered synthetic population
 // through every policy and asserts the churn lifecycle invariants: no
@@ -220,7 +230,8 @@ func TestChurnReplayInvariants(t *testing.T) {
 	saved := registry
 	defer func() { registry = saved }()
 	probe := &liveProbe{t: t, arrives: arrives}
-	Register("live-probe", func(PoolConfig, int) Scheduler { return probe })
+	registry = append(registry,
+		registration{"live-probe", func(PoolConfig, int) Scheduler { return probe }})
 
 	for _, policy := range Policies() {
 		for _, cores := range []int{1, 3} {

@@ -66,8 +66,8 @@ func diffDispatch(t *testing.T, label string, profiles []*Profile, pool PoolConf
 // TestBatchedDispatchMatchesPerRecord pins the batched fast path to the
 // per-record oracle, deep-equal on the full PoolResult, for every
 // registered policy across: the real benchmark suite (fixed-set and
-// churned, migration model off and on, 1-3 cores, cycled weights and
-// explicit tiers), and the synthetic fuzz-corpus timelines — including
+// churned, migration model off and on, 1-3 cores, cycled weights and the
+// tiers they derive), and the synthetic fuzz-corpus timelines — including
 // the churn seeds, whose arrivals force mid-run BeginRun re-snapshots,
 // and the drain-heavy seed, whose drains interleave with backpressure.
 func TestBatchedDispatchMatchesPerRecord(t *testing.T) {
@@ -96,7 +96,6 @@ func TestBatchedDispatchMatchesPerRecord(t *testing.T) {
 							Cores:            cores,
 							Policy:           policy,
 							Weights:          []float64{2, 1},
-							Tiers:            []int{1, 0, 1},
 							DeadlineCycles:   5_000,
 							MigrationPenalty: penalty,
 						}

@@ -108,7 +108,7 @@ func TestPropertyConservationAllPolicies(t *testing.T) {
 	})
 	for _, policy := range Policies() {
 		pool := PoolConfig{Cores: 3, Policy: policy,
-			Weights: []float64{4, 1}, Tiers: []int{0, 1}, MigrationPenalty: 40}
+			Weights: []float64{4, 1}, MigrationPenalty: 40}
 		records := make([]uint64, len(profiles))
 		bits := make([]uint64, len(profiles))
 		if _, err := replayMode(context.Background(), profiles, pool,

@@ -12,7 +12,7 @@ import (
 )
 
 // PoolConfig sizes the shared lifeguard-core pool and carries the policy
-// inputs the scheduler subsystem consumes (weights, tiers, deadlines).
+// inputs the scheduler subsystem consumes (weights, deadlines).
 type PoolConfig struct {
 	// Cores is the number of lifeguard cores in the pool (>= 1).
 	Cores int `json:"cores"`
@@ -20,14 +20,11 @@ type PoolConfig struct {
 	Policy string `json:"policy"`
 	// Weights are per-tenant WFQ weights, cycled when shorter than the
 	// tenant set ("2,1" over four tenants gives 2,1,2,1). Empty means
-	// every tenant weighs 1; non-positive entries are clamped to 1.
+	// every tenant weighs 1; non-positive entries are clamped to 1. The
+	// priority policy's tiers derive from them: any tenant weighing more
+	// than 1 joins the premium tier 0, the rest tier 1 — the "paid SLA"
+	// reading of a raised weight.
 	Weights []float64 `json:"weights,omitempty"`
-	// Tiers are per-tenant priority tiers (lower outranks higher;
-	// negative values are valid and outrank tier 0), cycled like
-	// Weights. Empty derives tiers from the weights: any tenant weighing
-	// more than 1 joins the premium tier 0, the rest tier 1 — the "paid
-	// SLA" reading of a raised weight.
-	Tiers []int `json:"tiers,omitempty"`
 	// DeadlineCycles is the lag deadline the deadline policy bounds each
 	// tenant by; 0 selects DefaultDeadlineCycles.
 	DeadlineCycles uint64 `json:"deadline_cycles,omitempty"`
@@ -98,9 +95,7 @@ func (pool PoolConfig) tenantViewsInto(views []TenantView, n int) []TenantView {
 			}
 		}
 		tier := 1
-		if len(pool.Tiers) > 0 {
-			tier = pool.Tiers[i%len(pool.Tiers)]
-		} else if w > 1 {
+		if w > 1 {
 			tier = 0
 		}
 		views[i] = TenantView{Weight: w, Tier: tier, DeadlineCycles: deadline}
@@ -222,14 +217,13 @@ type TenantResult struct {
 }
 
 // PoolResult is one cell of a tenant matrix: the tenant set served by a
-// pool of the given size under the given policy. Weights, Tiers and
+// pool of the given size under the given policy. Weights and
 // DeadlineCycles echo the policy inputs the cell ran with, so a JSON
 // artifact is self-describing.
 type PoolResult struct {
 	Cores               int
 	Policy              string
 	Weights             []float64
-	Tiers               []int
 	DeadlineCycles      uint64
 	MigrationPenalty    uint64
 	WarmthHalfLifeBytes uint64
@@ -275,7 +269,6 @@ func (r *PoolResult) Cell() runner.TenantCell {
 		Cores:            r.Cores,
 		Policy:           r.Policy,
 		Weights:          r.Weights,
-		Tiers:            r.Tiers,
 		DeadlineCycles:   r.DeadlineCycles,
 		MigrationPenalty: r.MigrationPenalty,
 		MeanSlowdown:     r.MeanSlowdown,
@@ -438,7 +431,6 @@ var arenaPool = sync.Pool{New: func() any { return new(replayArena) }}
 type replayer struct {
 	pool    PoolConfig
 	sched   Scheduler
-	batch   BatchPicker // non-nil only on the batched path when sched opts in
 	obs     observer
 	churned bool
 
@@ -494,9 +486,6 @@ func replayMode(ctx context.Context, profiles []*Profile, pool PoolConfig, obs o
 	}
 	r := replayer{pool: pool, sched: sched, obs: obs, ctx: ctx, done: ctx.Done()}
 	if !perRecord {
-		if bp, ok := sched.(BatchPicker); ok {
-			r.batch = bp
-		}
 		r.arena = arenaPool.Get().(*replayArena)
 		defer arenaPool.Put(r.arena)
 	}
@@ -716,7 +705,7 @@ func (r *replayer) retire(ti int) {
 // refresh updates the requester-relative slices of the live views before
 // a per-record Pick: the channel's in-order consumption floor and, per
 // core, the requesting tenant's warmth there. The batched path calls it
-// only for schedulers outside the BatchPicker contract — the per-core
+// only at the start of a warmth-sensitive scheduler's run — the per-core
 // warmth walk on every record is exactly the overhead batching removes.
 func (r *replayer) refresh(ti int) {
 	r.views[ti].ChannelFree = r.states[ti].ch.LifeguardFinish()
@@ -834,26 +823,21 @@ func (r *replayer) runPerRecord() error {
 // comparison. Rivals' clocks cannot move while they are not being
 // served, so the bound stays valid for the whole run and each in-run
 // record costs O(1) merge work instead of a fresh O(tenants) scan.
-// Record dispatch inside a run goes through BatchPicker when the
-// scheduler opts in (no per-core warmth refresh, incremental ranks) and
-// through the ordinary refresh+Pick otherwise; either way every decision
-// is, by construction, the one the per-record loop would have made.
+// Record dispatch inside a run goes through the scheduler's BeginRun and
+// PickNext (no per-core warmth refresh, incremental ranks); every
+// decision is, by construction, the one the per-record loop would have
+// made.
 func (r *replayer) runBatched() error {
 	// Replay-stable state, hoisted so the in-run loop reloads nothing
 	// through r after opaque calls.
 	cores, busy, views := r.cores, r.busy, r.views
 	w, penalty, obs := r.warmth, r.pool.MigrationPenalty, r.obs
-	churned := r.churned
-	// Warmth-sensitive BatchPickers get refreshed warmth views at run
-	// start and picked-core maintenance per record (see WarmthBatchPicker).
-	// Sensitivity is per-replay, not per-type: wfq and priority read
-	// warmth only when the migration model prices their rank tie-break.
-	warmBatch := false
-	if r.batch != nil {
-		if wb, ok := r.batch.(WarmthBatchPicker); ok {
-			warmBatch = wb.WarmthSensitive()
-		}
-	}
+	churned, sched := r.churned, r.sched
+	// Warmth-sensitive schedulers get refreshed warmth views at run start
+	// and picked-core maintenance per record (see Scheduler). Sensitivity
+	// is per-replay, not per-type: wfq and priority read warmth only when
+	// the migration model prices their rank tie-break.
+	warmBatch := sched.WarmthSensitive()
 	for {
 		ti, j2 := -1, -1
 		var tmin, t2 uint64
@@ -876,12 +860,10 @@ func (r *replayer) runBatched() error {
 		ts := &r.states[ti]
 		v := &views[ti]
 		cur, arrive := &ts.cur, ts.arrive // arrive immutable across the run
-		if r.batch != nil {
-			if warmBatch {
-				r.refresh(ti)
-			}
-			r.batch.BeginRun(ti, cores, views)
+		if warmBatch {
+			r.refresh(ti)
 		}
+		sched.BeginRun(ti, cores, views)
 		for !cur.done() {
 			s := cur.head()
 			now := s.cycle + arrive + ts.offset
@@ -896,11 +878,11 @@ func (r *replayer) runBatched() error {
 			if cur.pos == 0 && r.cancelled() {
 				return r.ctx.Err()
 			}
-			if r.arrivals < len(r.agenda) && r.flipArrivals(now) && r.batch != nil {
+			if r.arrivals < len(r.agenda) && r.flipArrivals(now) {
 				// The live-tenant set changed mid-run; rank snapshots
 				// taken at BeginRun are stale, so start a new run in
 				// place. Core clocks are unaffected by arrivals.
-				r.batch.BeginRun(ti, cores, views)
+				sched.BeginRun(ti, cores, views)
 			}
 			if s.bits == drainMark {
 				// Syscall containment, as in runPerRecord. A drain only
@@ -913,14 +895,8 @@ func (r *replayer) runBatched() error {
 				continue
 			}
 			req := Request{Tenant: ti, Ready: now, Bits: uint64(s.bits), Cost: uint64(s.cost)}
-			var core int
-			if r.batch != nil {
-				v.ChannelFree = ts.ch.LifeguardFinish()
-				core = r.batch.PickNext(req, cores, views)
-			} else {
-				r.refresh(ti)
-				core = r.sched.Pick(req, cores, views)
-			}
+			v.ChannelFree = ts.ch.LifeguardFinish()
+			core := sched.PickNext(req, cores, views)
 			// What follows is commit(), hand-inlined so the per-record
 			// accounting runs on hoisted state with no call overhead —
 			// profiling showed the call and the post-call reloads as the
@@ -1007,7 +983,6 @@ func (r *replayer) finish() *PoolResult {
 		Cores:               r.pool.Cores,
 		Policy:              r.sched.Name(),
 		Weights:             r.pool.Weights,
-		Tiers:               r.pool.Tiers,
 		DeadlineCycles:      r.pool.DeadlineCycles,
 		MigrationPenalty:    r.pool.MigrationPenalty,
 		WarmthHalfLifeBytes: r.pool.WarmthHalfLifeBytes,
@@ -1016,8 +991,6 @@ func (r *replayer) finish() *PoolResult {
 		Churned:             r.churned,
 	}
 	views, churned := r.views, r.churned
-	starts := make([]uint64, len(r.states))
-	ends := make([]uint64, len(r.states))
 	for i := range r.states {
 		ts := &r.states[i]
 		p := ts.prof
@@ -1059,8 +1032,6 @@ func (r *replayer) finish() *PoolResult {
 			ColdServeCycles: views[i].ColdServeCycles,
 			Violations:      len(p.Result.Violations),
 		}
-		res.Migrations += tr.Migrations
-		res.ColdServeCycles += tr.ColdServeCycles
 		// The slowdown and contention ratios compare the tenant's active
 		// span (wall minus arrival; the whole wall clock for a fixed set,
 		// where the float math below is bit-for-bit the fixed-set path's).
@@ -1085,25 +1056,9 @@ func (r *replayer) finish() *PoolResult {
 				tr.DepartAtCycles = ts.releaseWall
 			}
 		}
-		starts[i] = ts.arrive
-		ends[i] = wall
 		res.Tenants = append(res.Tenants, tr)
-
-		res.MeanSlowdown += tr.Slowdown
-		if tr.Slowdown > res.MaxSlowdown {
-			res.MaxSlowdown = tr.Slowdown
-		}
-		res.MeanContentionX += tr.ContentionX
-		if tr.ContentionX > res.MaxContentionX {
-			res.MaxContentionX = tr.ContentionX
-		}
-		if wall > res.MakespanCycles {
-			res.MakespanCycles = wall
-		}
 	}
-	res.MeanSlowdown /= float64(len(r.states))
-	res.MeanContentionX /= float64(len(r.states))
-	res.PeakConcurrency = peakConcurrency(starts, ends)
+	res.aggregate()
 
 	// Return every decoded window to the ring (retired tenants already
 	// did) and drop the cursors' sources, so an arena-held state never
@@ -1112,15 +1067,49 @@ func (r *replayer) finish() *PoolResult {
 	for i := range r.states {
 		r.states[i].cur.close(r.ring)
 	}
+	return res
+}
+
+// aggregate derives the pool-level figures from the per-tenant rows and
+// the per-core busy cycles: migration totals, mean and max slowdown and
+// contention, makespan, peak concurrency and utilisation. finish and
+// mergeShards both end here, summing in tenant order, so a merged result
+// carries the same floats a single replay of the same rows would.
+func (res *PoolResult) aggregate() {
+	n := len(res.Tenants)
+	starts := make([]uint64, n)
+	ends := make([]uint64, n)
+	for i := range res.Tenants {
+		tr := &res.Tenants[i]
+		res.Migrations += tr.Migrations
+		res.ColdServeCycles += tr.ColdServeCycles
+		res.MeanSlowdown += tr.Slowdown
+		if tr.Slowdown > res.MaxSlowdown {
+			res.MaxSlowdown = tr.Slowdown
+		}
+		res.MeanContentionX += tr.ContentionX
+		if tr.ContentionX > res.MaxContentionX {
+			res.MaxContentionX = tr.ContentionX
+		}
+		if tr.WallCycles > res.MakespanCycles {
+			res.MakespanCycles = tr.WallCycles
+		}
+		// A fixed set leaves ArriveAtCycles zero, which is every
+		// tenant's arrival there.
+		starts[i] = tr.ArriveAtCycles
+		ends[i] = tr.WallCycles
+	}
+	res.MeanSlowdown /= float64(n)
+	res.MeanContentionX /= float64(n)
+	res.PeakConcurrency = peakConcurrency(starts, ends)
 
 	var totalBusy uint64
-	for _, b := range r.busy {
+	for _, b := range res.CoreBusyCycles {
 		totalBusy += b
 	}
 	if res.MakespanCycles > 0 {
-		res.Utilisation = float64(totalBusy) / (float64(r.pool.Cores) * float64(res.MakespanCycles))
+		res.Utilisation = float64(totalBusy) / (float64(res.Cores) * float64(res.MakespanCycles))
 	}
-	return res
 }
 
 // peakConcurrency returns the maximum number of overlapping channel-hold

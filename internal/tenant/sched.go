@@ -37,9 +37,10 @@ const (
 	// larger share of the pool.
 	PolicyWFQ = "wfq"
 	// PolicyPriority models paid monitoring SLAs: strict priority tiers
-	// (PoolConfig.Tiers, lower is better) with weighted fair queueing
-	// inside a tier. Any tenant of a better tier outranks every tenant of
-	// a worse tier when cores are handed out.
+	// (TenantView.Tier, lower is better; a tenant weighing more than 1
+	// joins the premium tier 0, the rest tier 1) with weighted fair
+	// queueing inside a tier. Any tenant of a better tier outranks every
+	// tenant of a worse tier when cores are handed out.
 	PolicyPriority = "priority"
 	// PolicyAffinity is warmth-aware least-lag with hysteresis: each
 	// record goes to the core with the earliest *charge-inclusive*
@@ -146,30 +147,68 @@ type CoreView struct {
 	LastTenant int
 }
 
-// Scheduler assigns records to pool cores. Pick receives the record being
-// scheduled, every pool core's live view (per-core clock, the requesting
-// tenant's warmth there, last tenant served), and every tenant's live
-// view; it returns the index of the serving core. Implementations may keep
-// state (rotation counters, last-core pointers); a fresh instance is built
-// per replay, so runs stay independent and deterministic. Pick must be
-// deterministic in its arguments plus that private state — the replay's
-// parallel == serial byte-identical JSON contract depends on it.
+// Scheduler assigns records to pool cores. Implementations may keep
+// state (rotation counters, last-core pointers, incremental ranks); a
+// fresh instance is built per replay, so runs stay independent and
+// deterministic. Every method must be deterministic in its arguments plus
+// that private state — the replay's parallel == serial byte-identical
+// JSON contract depends on it.
+//
+// The production replay groups consecutive records of one tenant into
+// runs: BeginRun is called once when a run starts (and again mid-run if a
+// tenant arrival changes the live-tenant set), then PickNext once per
+// record. PickNext must return exactly the core Pick would — the batched
+// and per-record replays are pinned byte-identical — but it may reuse
+// rank state computed in BeginRun, because during a run the scheduler's
+// inputs are frozen except for:
+//
+//   - the running tenant's TenantView (service accumulators, ChannelFree);
+//   - CoreView.FreeAt of cores chosen earlier in the run (each updated
+//     after the PickNext that chose it, before the next call).
+//
+// Every other tenant's view — virtual time, tier, Done/Absent — cannot
+// change mid-run, which is what makes a rank snapshot sound.
+//
+// CoreView.Warmth and CoreView.LastTenant are kept exact on the run path
+// only for a scheduler whose WarmthSensitive reports true: the replay
+// refreshes every core's warmth once at BeginRun and then maintains only
+// the picked core's fields after each record. That maintenance is exact:
+// during a run only the running tenant is served, so its warmth can
+// change only on the cores that served it (idle decay included — it lands
+// on the serving core at serve time). A scheduler reporting false must
+// not read the warmth fields in BeginRun or PickNext, and skips the
+// per-run refresh entirely. Pick, the per-record reference, always sees
+// every view refreshed.
 type Scheduler interface {
 	// Name identifies the policy in results.
 	Name() string
-	// Pick returns the pool core (index into cores) that will serve req.
+	// Pick returns the pool core (index into cores) that will serve req,
+	// given every pool core's live view (per-core clock, the requesting
+	// tenant's warmth there, last tenant served) and every tenant's live
+	// view.
 	Pick(req Request, cores []CoreView, tenants []TenantView) int
+	// BeginRun marks the start of a run of consecutive records from
+	// tenant t. cores and tenants are current as of the call (warmth
+	// fields only when WarmthSensitive).
+	BeginRun(t int, cores []CoreView, tenants []TenantView)
+	// PickNext schedules the next record of the run and must equal what
+	// Pick would return; the replay updates cores[result].FreeAt and the
+	// running tenant's view before the next call.
+	PickNext(req Request, cores []CoreView, tenants []TenantView) int
+	// WarmthSensitive reports whether this replay's PickNext reads the
+	// warmth fields: constant true for deadline and affinity, constant
+	// false for round-robin and least-lag, and penalty-gated for wfq and
+	// priority, whose warmth tie-break is live only when the migration
+	// model is on.
+	WarmthSensitive() bool
 }
 
-// Builder constructs a fresh scheduler for one replay of n tenants under
-// the given pool configuration.
-type Builder func(pool PoolConfig, n int) Scheduler
-
-// registration keeps the registry ordered: Policies() reports policies in
-// the order they were registered, which fixes evaluation and JSON order.
+// registration is one row of the fixed policy table. The table's order
+// is the evaluation order: Policies() reports it, which fixes evaluation
+// and JSON order.
 type registration struct {
 	name  string
-	build Builder
+	build func(pool PoolConfig, n int) Scheduler
 }
 
 var registry = []registration{
@@ -181,24 +220,7 @@ var registry = []registration{
 	{PolicyAffinity, newAffinity},
 }
 
-// Register adds a scheduling policy to the registry. It is intended for
-// init-time registration (tests, experimental policies) and is not safe
-// for concurrent use; registering an existing name replaces it in place so
-// the evaluation order stays stable.
-func Register(name string, build Builder) {
-	if name == "" || build == nil {
-		panic("tenant: Register needs a name and a builder")
-	}
-	for i, r := range registry {
-		if r.name == name {
-			registry[i].build = build
-			return
-		}
-	}
-	registry = append(registry, registration{name, build})
-}
-
-// Policies lists the registered scheduling policies in evaluation order.
+// Policies lists the scheduling policies in evaluation order.
 func Policies() []string {
 	names := make([]string, len(registry))
 	for i, r := range registry {
@@ -212,7 +234,7 @@ func Policies() []string {
 // the full registry.
 func BaselinePolicies() []string { return []string{PolicyRoundRobin, PolicyLeastLag} }
 
-// ValidPolicy reports whether the named policy is registered; the empty
+// ValidPolicy reports whether the named policy exists; the empty
 // string selects the default (least-lag) and is always valid. Command-line
 // front-ends use it to reject -sched typos before any simulation runs.
 func ValidPolicy(policy string) error {

@@ -105,22 +105,20 @@ func planShards(profiles []*Profile, pool PoolConfig) ([]shardSpec, error) {
 }
 
 // subPool builds the shard's own PoolConfig: the group's core count, with
-// the parent's cycled per-tenant Weights and Tiers *materialised* for the
-// selected tenants — cycling is by global tenant index, so a shard must
-// carry each tenant's already-resolved inputs, not re-cycle a shorter
-// list over a renumbered set. The materialised views are identical to the
-// global ones (tenantViews clamps weights and derives tiers before we
-// read them), which is what makes the one-shard sub-pool replay exactly
-// the global replay.
+// the parent's cycled per-tenant Weights *materialised* for the selected
+// tenants — cycling is by global tenant index, so a shard must carry each
+// tenant's already-resolved weight, not re-cycle a shorter list over a
+// renumbered set. The materialised weights are the clamped global ones,
+// and tiers derive from weights, so the shard's views are identical to
+// the global ones — which is what makes the one-shard sub-pool replay
+// exactly the global replay.
 func subPool(pool PoolConfig, views []TenantView, spec shardSpec) PoolConfig {
 	sub := pool
 	sub.Cores = spec.cores
 	sub.Shards = 0
 	sub.Weights = make([]float64, len(spec.tenants))
-	sub.Tiers = make([]int, len(spec.tenants))
 	for j, t := range spec.tenants {
 		sub.Weights[j] = views[t].Weight
-		sub.Tiers[j] = views[t].Tier
 	}
 	return sub
 }
@@ -202,8 +200,8 @@ func replaySharded(ctx context.Context, profiles []*Profile, pool PoolConfig, pa
 // tenants return to their global indices, core vectors to their global
 // core slots (warmth rows are block-diagonal — a shard's tenants were
 // never served outside its cores), and the aggregates are recomputed over
-// the global tenant order with the same arithmetic finish() uses, so the
-// merge is a pure deterministic function of the shard results.
+// the global tenant order by the same PoolResult.aggregate finish() uses,
+// so the merge is a pure deterministic function of the shard results.
 func mergeShards(pool PoolConfig, specs []shardSpec, results []*PoolResult) *PoolResult {
 	n := 0
 	for _, spec := range specs {
@@ -212,7 +210,6 @@ func mergeShards(pool PoolConfig, specs []shardSpec, results []*PoolResult) *Poo
 	merged := &PoolResult{
 		Cores:               pool.Cores,
 		Weights:             pool.Weights,
-		Tiers:               pool.Tiers,
 		DeadlineCycles:      pool.DeadlineCycles,
 		MigrationPenalty:    pool.MigrationPenalty,
 		WarmthHalfLifeBytes: pool.WarmthHalfLifeBytes,
@@ -227,9 +224,6 @@ func mergeShards(pool PoolConfig, specs []shardSpec, results []*PoolResult) *Poo
 	for _, res := range results {
 		merged.Policy = res.Policy // every shard ran the same policy
 		merged.Churned = merged.Churned || res.Churned
-		if res.MakespanCycles > merged.MakespanCycles {
-			merged.MakespanCycles = res.MakespanCycles
-		}
 	}
 	for s, spec := range specs {
 		res := results[s]
@@ -251,33 +245,6 @@ func mergeShards(pool PoolConfig, specs []shardSpec, results []*PoolResult) *Poo
 			merged.Tenants[t] = tr
 		}
 	}
-	starts := make([]uint64, n)
-	ends := make([]uint64, n)
-	for i := range merged.Tenants {
-		tr := &merged.Tenants[i]
-		merged.Migrations += tr.Migrations
-		merged.ColdServeCycles += tr.ColdServeCycles
-		merged.MeanSlowdown += tr.Slowdown
-		if tr.Slowdown > merged.MaxSlowdown {
-			merged.MaxSlowdown = tr.Slowdown
-		}
-		merged.MeanContentionX += tr.ContentionX
-		if tr.ContentionX > merged.MaxContentionX {
-			merged.MaxContentionX = tr.ContentionX
-		}
-		starts[i] = tr.ArriveAtCycles
-		ends[i] = tr.WallCycles
-	}
-	merged.MeanSlowdown /= float64(n)
-	merged.MeanContentionX /= float64(n)
-	merged.PeakConcurrency = peakConcurrency(starts, ends)
-
-	var totalBusy uint64
-	for _, b := range merged.CoreBusyCycles {
-		totalBusy += b
-	}
-	if merged.MakespanCycles > 0 {
-		merged.Utilisation = float64(totalBusy) / (float64(pool.Cores) * float64(merged.MakespanCycles))
-	}
+	merged.aggregate()
 	return merged
 }

@@ -57,7 +57,6 @@ func TestShardedDispatchMatchesBatched(t *testing.T) {
 							Cores:            4,
 							Policy:           policy,
 							Weights:          []float64{2, 1},
-							Tiers:            []int{1, 0, 1},
 							DeadlineCycles:   5_000,
 							MigrationPenalty: penalty,
 							Shards:           shards,

@@ -46,10 +46,12 @@
 // service). Six policies are registered — round-robin and least-lag (the
 // baselines), deadline (bound each tenant's lag tail with an exact
 // channel-aware projection), wfq (weighted fair queueing over consumed
-// log bytes), priority (strict SLA tiers with WFQ inside a tier) and
-// affinity (warmth-aware least-lag with hysteresis) — and Register
-// accepts experimental ones. See docs/architecture.md for the full
-// scheduler contract.
+// log bytes), priority (strict SLA tiers with WFQ inside a tier; a
+// tenant weighing more than 1 is premium) and affinity (warmth-aware
+// least-lag with hysteresis). The set is fixed: every policy implements
+// the whole contract, including the run methods the production replay
+// dispatches through. See docs/architecture.md for the full scheduler
+// contract.
 //
 // # Shadow-cache warmth and migration costs
 //
@@ -98,9 +100,9 @@
 // The replay is the package's hot path — sweeps and admission searches
 // replay millions of records per pool cell — and has one production
 // entry point, ReplayPool (what Engine.RunPool calls). It groups
-// consecutive same-tenant records into runs so schedulers that implement
-// BatchPicker (all six built-ins) amortise their ranking work per run
-// instead of per record, and draws its working memory from a pooled arena
+// consecutive same-tenant records into runs so schedulers amortise their
+// ranking work per run (Scheduler.BeginRun and PickNext) instead of per
+// record, and draws its working memory from a pooled arena
 // so steady-state replays allocate only their results
 // (logbuf.Channel.Reset is the channel-reuse hook). ReplayPoolReference
 // is the per-record reference — one Pick per record, fresh buffers — kept
