@@ -15,7 +15,7 @@ loc:
 test:
 	$(GO) test ./...
 	$(GO) test -run 'Invariant|Property' -count=2 ./internal/tenant
-	$(GO) test -race -count=2 -run 'VPCGolden|BitWriter|MemoryPage|ProfileAllocs' ./internal/vpc ./internal/mem ./internal/shadow ./internal/core
+	$(GO) test -race -count=2 -run 'VPCGolden|BitWriter|MemoryPage|ProfileAllocs|CompressorReset|PredictorBank' ./internal/vpc ./internal/mem ./internal/shadow ./internal/core
 
 race:
 	$(GO) test -race ./...

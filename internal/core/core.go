@@ -297,6 +297,7 @@ func RunLBA(p *prog.Program, lifeguardName string, cfg Config) (*Result, error) 
 	}
 
 	le := newLogEncoder(&cfg)
+	defer le.release()
 
 	// routeOf picks the consuming lifeguard core for a record: memory
 	// records interleave by cache line; allocation-state records fan out

@@ -69,6 +69,14 @@ type Cache struct {
 // NewCache builds a cache from cfg. It panics on invalid configuration;
 // configurations are static (constructed from code, not user input).
 func NewCache(cfg CacheConfig) *Cache {
+	c := new(Cache)
+	c.init(cfg)
+	return c
+}
+
+// init builds the cache in place, so a hierarchy can hold its caches by
+// value.
+func (c *Cache) init(cfg CacheConfig) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -82,7 +90,7 @@ func NewCache(cfg CacheConfig) *Cache {
 	for 1<<lineBits != cfg.LineB {
 		lineBits++
 	}
-	return &Cache{
+	*c = Cache{
 		cfg:      cfg,
 		sets:     sets,
 		setMask:  uint64(nsets - 1),

@@ -43,30 +43,27 @@ func DefaultHierarchyConfig(cores int) HierarchyConfig {
 // which the CPU (and the lifeguard dispatch engine) issue timed accesses.
 type Hierarchy struct {
 	cfg   HierarchyConfig
-	l2    *Cache
-	ports []*Port
+	l2    Cache
+	ports []Port
 	// L2 bandwidth accounting for the log transport (bytes moved through
 	// the shared cache on behalf of the log).
 	logBytes uint64
 }
 
 // NewHierarchy builds the hierarchy. It panics on invalid configuration.
+// The ports and caches are held by value, so beyond its caches' tag
+// arrays a hierarchy costs two allocations: itself and its ports.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	if cfg.Cores <= 0 {
 		panic(fmt.Errorf("mem: hierarchy needs at least one core, got %d", cfg.Cores))
 	}
-	h := &Hierarchy{cfg: cfg, l2: NewCache(cfg.L2)}
-	for i := 0; i < cfg.Cores; i++ {
-		l1i := cfg.L1I
-		l1i.Name = fmt.Sprintf("core%d.L1I", i)
-		l1d := cfg.L1D
-		l1d.Name = fmt.Sprintf("core%d.L1D", i)
-		h.ports = append(h.ports, &Port{
-			hier: h,
-			core: i,
-			l1i:  NewCache(l1i),
-			l1d:  NewCache(l1d),
-		})
+	h := &Hierarchy{cfg: cfg, ports: make([]Port, cfg.Cores)}
+	h.l2.init(cfg.L2)
+	for i := range h.ports {
+		p := &h.ports[i]
+		p.hier, p.core = h, i
+		p.l1i.init(cfg.L1I)
+		p.l1d.init(cfg.L1D)
 	}
 	return h
 }
@@ -75,7 +72,7 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
 // Port returns core i's access port.
-func (h *Hierarchy) Port(i int) *Port { return h.ports[i] }
+func (h *Hierarchy) Port(i int) *Port { return &h.ports[i] }
 
 // L2Stats returns the shared L2 statistics.
 func (h *Hierarchy) L2Stats() CacheStats { return h.l2.Stats() }
@@ -93,8 +90,8 @@ func (h *Hierarchy) LogTransportBytes() uint64 { return h.logBytes }
 type Port struct {
 	hier *Hierarchy
 	core int
-	l1i  *Cache
-	l1d  *Cache
+	l1i  Cache
+	l1d  Cache
 }
 
 // Core returns the owning core's index.
@@ -108,7 +105,7 @@ func (p *Port) L1DStats() CacheStats { return p.l1d.Stats() }
 
 // FetchInst charges an instruction fetch at pc and returns its latency.
 func (p *Port) FetchInst(pc uint64) uint64 {
-	return p.accessThrough(p.l1i, pc, false)
+	return p.accessThrough(&p.l1i, pc, false)
 }
 
 // Data charges a data access of size bytes at addr (write if wr) and
@@ -121,9 +118,9 @@ func (p *Port) Data(addr uint64, size uint8, wr bool) uint64 {
 	lineB := uint64(p.l1d.cfg.LineB)
 	first := addr &^ (lineB - 1)
 	last := (addr + uint64(size) - 1) &^ (lineB - 1)
-	lat := p.accessThrough(p.l1d, addr, wr)
+	lat := p.accessThrough(&p.l1d, addr, wr)
 	for line := first + lineB; line <= last; line += lineB {
-		lat += p.accessThrough(p.l1d, line, wr)
+		lat += p.accessThrough(&p.l1d, line, wr)
 	}
 	return lat
 }

@@ -21,43 +21,98 @@ type page [pageSize]byte
 // pageChunk caps how many pages one allocation provides.
 const pageChunk = 16
 
+// The page directory covers addresses below dirLimit (2 GiB, above
+// isa.StackTop, so every application region) in two levels: a fixed
+// array of dirSize leaves, each mapping leafSize consecutive pages
+// (4 MiB). Pages at or above dirLimit live in a map.
+const (
+	leafBits = 10
+	leafSize = 1 << leafBits
+	dirSize  = 512
+	dirLimit = dirSize << (leafBits + pageBits)
+)
+
+type leaf [leafSize]*page
+
 // Memory is a sparse, byte-addressable 64-bit memory. Pages materialise on
 // first touch and read as zero before any write, like anonymous mappings.
 // Memory holds functional state only; timing lives in the cache model.
 type Memory struct {
-	pages map[uint64]*page
-	spare []page // allocated but not yet materialised pages (see page)
+	dir   [dirSize]*leaf
+	far   map[uint64]*page // pages at or above dirLimit, by page number
+	count int              // materialised pages
+	spare []page           // allocated but not yet materialised pages (see newPage)
 }
 
 // NewMemory returns an empty memory.
-func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*page)}
+func NewMemory() *Memory { return &Memory{} }
+
+// lookup returns the page holding addr, or nil if it was never touched.
+// It never writes, so a Memory shared by concurrent readers is safe.
+func (m *Memory) lookup(addr uint64) *page {
+	if addr < dirLimit {
+		if l := m.dir[addr>>(leafBits+pageBits)]; l != nil {
+			return l[addr>>pageBits&(leafSize-1)]
+		}
+		return nil
+	}
+	return m.far[addr>>pageBits]
 }
 
 // page returns the page holding addr, materialising it on first touch.
 // Reads never call it: they look the page up and treat an absent one as
-// zeros, so a Memory shared by concurrent readers is never mutated.
+// zeros.
 func (m *Memory) page(addr uint64) *page {
-	pn := addr >> pageBits
-	p := m.pages[pn]
-	if p == nil {
-		if len(m.spare) == 0 {
-			// Pages are allocated in chunks that grow with the footprint
-			// up to pageChunk, so a large working set costs one
-			// allocation per chunk while a small one wastes at most as
-			// many pages as it uses.
-			m.spare = make([]page, min(len(m.pages)+1, pageChunk))
+	if addr < dirLimit {
+		if l := m.dir[addr>>(leafBits+pageBits)]; l != nil {
+			if p := l[addr>>pageBits&(leafSize-1)]; p != nil {
+				return p
+			}
 		}
-		p = &m.spare[0]
-		m.spare = m.spare[1:]
-		m.pages[pn] = p
 	}
+	return m.materialise(addr)
+}
+
+// materialise is page's slow path: a directory page not yet touched, or
+// any page at or above dirLimit.
+func (m *Memory) materialise(addr uint64) *page {
+	if addr >= dirLimit {
+		p := m.far[addr>>pageBits]
+		if p == nil {
+			if m.far == nil {
+				m.far = make(map[uint64]*page)
+			}
+			p = m.newPage()
+			m.far[addr>>pageBits] = p
+		}
+		return p
+	}
+	l := &m.dir[addr>>(leafBits+pageBits)]
+	if *l == nil {
+		*l = new(leaf)
+	}
+	p := m.newPage()
+	(*l)[addr>>pageBits&(leafSize-1)] = p
+	return p
+}
+
+// newPage hands out one zeroed page. Pages are allocated in chunks that
+// grow with the footprint up to pageChunk, so a large working set costs
+// one allocation per chunk while a small one wastes at most as many
+// pages as it uses.
+func (m *Memory) newPage() *page {
+	if len(m.spare) == 0 {
+		m.spare = make([]page, min(m.count+1, pageChunk))
+	}
+	p := &m.spare[0]
+	m.spare = m.spare[1:]
+	m.count++
 	return p
 }
 
 // Byte reads one byte.
 func (m *Memory) Byte(addr uint64) byte {
-	p := m.pages[addr>>pageBits]
+	p := m.lookup(addr)
 	if p == nil {
 		return 0
 	}
@@ -74,7 +129,7 @@ func (m *Memory) SetByte(addr uint64, v byte) {
 // page touched.
 func (m *Memory) Read(addr uint64, size uint8) uint64 {
 	if off := addr & (pageSize - 1); off+uint64(size) <= pageSize {
-		p := m.pages[addr>>pageBits]
+		p := m.lookup(addr)
 		if p == nil {
 			return 0
 		}
@@ -123,7 +178,7 @@ func (m *Memory) ReadBytes(addr uint64, dst []byte) {
 	for len(dst) > 0 {
 		off := addr & (pageSize - 1)
 		n := min(uint64(len(dst)), pageSize-off)
-		if p := m.pages[addr>>pageBits]; p != nil {
+		if p := m.lookup(addr); p != nil {
 			copy(dst[:n], p[off:])
 		} else {
 			clear(dst[:n])
@@ -160,12 +215,12 @@ func (m *Memory) Fill(addr, n uint64, v byte) {
 
 // PageCount reports how many 4 KiB pages have been materialised; used by
 // tests and by the workload generators to check working-set sizes.
-func (m *Memory) PageCount() int { return len(m.pages) }
+func (m *Memory) PageCount() int { return m.count }
 
 // Footprint returns the materialised memory footprint in bytes.
-func (m *Memory) Footprint() uint64 { return uint64(len(m.pages)) * pageSize }
+func (m *Memory) Footprint() uint64 { return uint64(m.count) * pageSize }
 
 // String summarises the memory for debugging.
 func (m *Memory) String() string {
-	return fmt.Sprintf("mem{pages: %d, footprint: %d KiB}", len(m.pages), m.Footprint()/1024)
+	return fmt.Sprintf("mem{pages: %d, footprint: %d KiB}", m.count, m.Footprint()/1024)
 }

@@ -30,12 +30,23 @@ func (r *byteMemory) read(addr uint64, size uint8) uint64 {
 	return v
 }
 
-// randomAddr draws an address near one of a few page boundaries, so that
-// about half of all accesses straddle two pages.
+// randomAddr draws an address near a boundary, so that about half of all
+// accesses straddle two pages: page boundaries low in memory, address 0,
+// the page directory's leaf boundaries (every 4 MiB), its end at dirLimit
+// where pages move to the map, and a far region as shadow addresses use.
 func randomAddr(rng *rand.Rand) uint64 {
-	boundary := uint64(1+rng.Intn(4)) << pageBits
-	if rng.Intn(4) == 0 {
-		boundary += 1 << 40 // a far region, as the shadow memory uses
+	var boundary uint64
+	switch rng.Intn(8) {
+	case 0:
+		return uint64(rng.Intn(32))
+	case 1:
+		boundary = uint64(1+rng.Intn(3)) << (leafBits + pageBits)
+	case 2:
+		boundary = dirLimit
+	case 3:
+		boundary = 1<<40 + uint64(1+rng.Intn(4))<<pageBits
+	default:
+		boundary = uint64(1+rng.Intn(4)) << pageBits
 	}
 	return boundary - 16 + uint64(rng.Intn(32))
 }
@@ -88,29 +99,37 @@ func TestMemoryPageAccessesMatchByteReference(t *testing.T) {
 	}
 }
 
+// bases are where the absent-read and concurrent-reader tests place
+// their pages: low memory, a leaf boundary of the page directory, the
+// directory's end (the pages straddle into the map) and far memory.
+var bases = []uint64{0, 3 << (leafBits + pageBits), dirLimit - 2*pageSize, 1 << 40}
+
 func TestMemoryPageAbsentReadsStayAbsent(t *testing.T) {
-	m := NewMemory()
-	m.Write(pageSize-4, 4, 0xAABBCCDD) // the last word of page 0 only
-	pages := m.PageCount()
-	dst := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	for _, addr := range []uint64{pageSize - 4, pageSize - 1, pageSize, 7 * pageSize, 1 << 40} {
-		for _, size := range []uint8{1, 2, 4, 8} {
-			want := uint64(0)
-			if addr < pageSize {
-				want = uint64(0xAABBCCDD) >> (8 * (addr - (pageSize - 4))) & (1<<(8*uint64(size)) - 1)
+	for _, base := range bases {
+		m := NewMemory()
+		m.Write(base+pageSize-4, 4, 0xAABBCCDD) // the last word of the base page only
+		pages := m.PageCount()
+		dst := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+		for _, off := range []uint64{pageSize - 4, pageSize - 1, pageSize, 7 * pageSize, 1 << 40} {
+			addr := base + off
+			for _, size := range []uint8{1, 2, 4, 8} {
+				want := uint64(0)
+				if off < pageSize {
+					want = uint64(0xAABBCCDD) >> (8 * (off - (pageSize - 4))) & (1<<(8*uint64(size)) - 1)
+				}
+				if got := m.Read(addr, size); got != want {
+					t.Errorf("base %#x: Read(%#x, %d) = %#x, want %#x", base, addr, size, got, want)
+				}
 			}
-			if got := m.Read(addr, size); got != want {
-				t.Errorf("Read(%#x, %d) = %#x, want %#x", addr, size, got, want)
-			}
+			m.ReadBytes(addr, dst)
+			_ = m.Byte(addr)
 		}
-		m.ReadBytes(addr, dst)
-		_ = m.Byte(addr)
-	}
-	if m.PageCount() != pages {
-		t.Errorf("reads materialised pages: %d, want %d", m.PageCount(), pages)
-	}
-	if want := []byte{0, 0, 0, 0, 0, 0, 0, 0}; string(dst) != string(want) {
-		t.Errorf("ReadBytes of absent memory = %v, want zeros", dst)
+		if m.PageCount() != pages {
+			t.Errorf("base %#x: reads materialised pages: %d, want %d", base, m.PageCount(), pages)
+		}
+		if want := []byte{0, 0, 0, 0, 0, 0, 0, 0}; string(dst) != string(want) {
+			t.Errorf("base %#x: ReadBytes of absent memory = %v, want zeros", base, dst)
+		}
 	}
 }
 
@@ -118,33 +137,35 @@ func TestMemoryPageAbsentReadsStayAbsent(t *testing.T) {
 // read from several goroutines), so a read must never write. Run under
 // -race.
 func TestMemoryPageConcurrentReaders(t *testing.T) {
-	m := NewMemory()
-	for a := uint64(0); a < 4*pageSize; a += 8 {
-		m.Write(a, 8, a*0x9E3779B97F4A7C15)
-	}
-	pages := m.PageCount()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var buf [24]byte
-			for a := uint64(g); a < 8*pageSize; a += 13 {
-				want := uint64(0)
-				if a < 4*pageSize && a%8 == 0 {
-					want = a * 0x9E3779B97F4A7C15
+	for _, base := range bases {
+		m := NewMemory()
+		for a := uint64(0); a < 4*pageSize; a += 8 {
+			m.Write(base+a, 8, a*0x9E3779B97F4A7C15)
+		}
+		pages := m.PageCount()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var buf [24]byte
+				for a := uint64(g); a < 8*pageSize; a += 13 {
+					want := uint64(0)
+					if a < 4*pageSize && a%8 == 0 {
+						want = a * 0x9E3779B97F4A7C15
+					}
+					if got := m.Read(base+a, 8); a%8 == 0 && got != want {
+						t.Errorf("base %#x: Read(%#x) = %#x, want %#x", base, base+a, got, want)
+						return
+					}
+					m.ReadBytes(base+a, buf[:])
+					_ = m.Byte(base + a)
 				}
-				if got := m.Read(a, 8); a%8 == 0 && got != want {
-					t.Errorf("Read(%#x) = %#x, want %#x", a, got, want)
-					return
-				}
-				m.ReadBytes(a, buf[:])
-				_ = m.Byte(a)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if m.PageCount() != pages {
-		t.Errorf("concurrent reads materialised pages: %d, want %d", m.PageCount(), pages)
+			}(g)
+		}
+		wg.Wait()
+		if m.PageCount() != pages {
+			t.Errorf("base %#x: concurrent reads materialised pages: %d, want %d", base, m.PageCount(), pages)
+		}
 	}
 }

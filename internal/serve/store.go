@@ -52,6 +52,16 @@ type AuditEntry struct {
 // auditFile is the audit log's name under the store directory.
 const auditFile = "audit.jsonl"
 
+// logFile is what the store needs of its open log; an *os.File in
+// production, a file that fails on demand in tests.
+type logFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
+}
+
 // Store is the daemon's durable state: an append-only JSONL audit log
 // plus a directory for replaceable artifacts (the latest pool snapshot).
 // Appends are synced before they return, so an entry the caller has seen
@@ -60,14 +70,22 @@ const auditFile = "audit.jsonl"
 // "decision was never acknowledged" semantics an append-only log wants.
 // The store keeps only a count of its entries: the log on disk is the
 // record, and the daemon folds it into its live set once, at recovery.
+//
+// A failed append leaves the log as it was: the store truncates back to
+// the end of the last acknowledged entry. A failed sync also poisons the
+// store, because after a failed fsync the kernel may have dropped the
+// dirty pages and a later sync would report success for data that never
+// reached the disk; every later append fails.
 type Store struct {
-	mu      sync.Mutex
-	dir     string
-	f       *os.File
-	info    os.FileInfo // f's identity, for checkLinked
-	count   int
-	nextSeq uint64
-	now     func() time.Time
+	mu       sync.Mutex
+	dir      string
+	f        logFile
+	info     os.FileInfo // f's identity, for checkLinked
+	size     int64       // end of the last acknowledged entry
+	poisoned error       // set once a sync or a rollback fails
+	count    int
+	nextSeq  uint64
+	now      func() time.Time
 }
 
 // Open recovers the store under dir, creating the directory and an empty
@@ -107,7 +125,7 @@ func open(dir string) (*Store, []AuditEntry, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	s := &Store{dir: dir, f: f, info: info, count: len(entries), nextSeq: 1, now: time.Now}
+	s := &Store{dir: dir, f: f, info: info, size: valid, count: len(entries), nextSeq: 1, now: time.Now}
 	if n := len(entries); n > 0 {
 		s.nextSeq = entries[n-1].Seq + 1
 	}
@@ -151,12 +169,17 @@ func (s *Store) Dir() string { return s.dir }
 // acknowledged decision is on disk. It fails closed: if the log's path no
 // longer names the open file (the data directory was removed or the log
 // replaced under the daemon), nothing is written, because an entry that
-// lands only in an unlinked file is lost on restart.
+// lands only in an unlinked file is lost on restart. A write or sync
+// error rolls the log back to its last acknowledged entry; a sync error
+// poisons the store (see Store).
 func (s *Store) Append(e AuditEntry) (AuditEntry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return e, fmt.Errorf("serve: store is closed")
+	}
+	if s.poisoned != nil {
+		return e, s.poisoned
 	}
 	if err := s.checkLinked(); err != nil {
 		return e, err
@@ -167,15 +190,32 @@ func (s *Store) Append(e AuditEntry) (AuditEntry, error) {
 	if err != nil {
 		return e, err
 	}
-	if _, err := s.f.Write(append(line, '\n')); err != nil {
-		return e, err
+	line = append(line, '\n')
+	if _, err := s.f.Write(line); err != nil {
+		return e, s.rollback(err)
 	}
 	if err := s.f.Sync(); err != nil {
-		return e, err
+		s.poisoned = fmt.Errorf("serve: audit log sync failed, store refuses appends: %w", err)
+		return e, s.rollback(s.poisoned)
 	}
+	s.size += int64(len(line))
 	s.nextSeq++
 	s.count++
 	return e, nil
+}
+
+// rollback truncates the log back to the last acknowledged entry after
+// a failed append and returns the append's error. If the log cannot be
+// put back, the store is poisoned. Callers hold s.mu.
+func (s *Store) rollback(cause error) error {
+	err := s.f.Truncate(s.size)
+	if err == nil {
+		_, err = s.f.Seek(s.size, io.SeekStart)
+	}
+	if err != nil && s.poisoned == nil {
+		s.poisoned = fmt.Errorf("serve: audit log rollback failed, store refuses appends: %w", err)
+	}
+	return cause
 }
 
 // checkLinked reports an error unless the log's path still names the

@@ -24,7 +24,10 @@ const Base uint64 = 1 << 40
 func AddrOf(app uint64) uint64 { return Base + app }
 
 // Memory is a byte-granular shadow map: one shadow byte per 2^granShift
-// application bytes.
+// application bytes. The backing memory is private, so it is keyed by the
+// shadow offset (app >> granShift) rather than by AddrOf: offsets of
+// application addresses fall in mem.Memory's page directory, not its map.
+// AddrOf stays the address meters charge to the caches.
 type Memory struct {
 	data  *mem.Memory
 	gran  uint
@@ -37,19 +40,16 @@ func New(granShift uint, meter lifeguard.Meter) *Memory {
 	return &Memory{data: mem.NewMemory(), gran: granShift, meter: meter}
 }
 
-// shadowAddr maps an application address to the charged shadow location.
-func (s *Memory) shadowAddr(app uint64) uint64 { return Base + (app >> s.gran) }
-
 // Get reads the shadow byte covering app.
 func (s *Memory) Get(app uint64) byte {
 	s.meter.Shadow(app>>s.gran, 1, false)
-	return s.data.Byte(s.shadowAddr(app))
+	return s.data.Byte(app >> s.gran)
 }
 
 // Set writes the shadow byte covering app.
 func (s *Memory) Set(app uint64, v byte) {
 	s.meter.Shadow(app>>s.gran, 1, true)
-	s.data.SetByte(s.shadowAddr(app), v)
+	s.data.SetByte(app>>s.gran, v)
 }
 
 // GetSpan reads the shadow bytes covering [app, app+size) into dst and
@@ -63,7 +63,7 @@ func (s *Memory) GetSpan(app uint64, size uint8, dst *[8]byte) int {
 		n = 8
 	}
 	s.meter.Shadow(first, uint8(n), false)
-	s.data.ReadBytes(Base+first, dst[:n])
+	s.data.ReadBytes(first, dst[:n])
 	return n
 }
 
@@ -79,7 +79,7 @@ func (s *Memory) SetRange(app, length uint64, v byte) {
 	for line := first &^ 63; line <= last; line += 64 {
 		s.meter.Shadow(line, 8, true)
 	}
-	s.data.Fill(Base+first, last-first+1, v)
+	s.data.Fill(first, last-first+1, v)
 }
 
 // AllInRange reports whether every shadow byte covering [app, app+size)

@@ -63,6 +63,18 @@ type Compressor struct {
 // NewCompressor returns an empty compressor.
 func NewCompressor() *Compressor { return &Compressor{} }
 
+// Reset returns c to the state of a fresh compressor in place: the
+// predictor bank, the statistics and the bit accumulator are zeroed, and
+// the stream buffer keeps its capacity. A reused compressor thus costs
+// one clear of its bank instead of a new 8 MB allocation.
+func (c *Compressor) Reset() {
+	// Field by field: assigning a whole Compressor literal would build
+	// the 8 MB zero value on the stack and copy it.
+	c.p = predictors{}
+	c.w.Reset()
+	c.Records, c.hitPC, c.hitTup, c.hitAddr, c.hitAux = 0, 0, 0, 0, 0
+}
+
 // Append compresses one record and returns the number of bits it consumed.
 func (c *Compressor) Append(r event.Record) int {
 	before := c.w.BitLen()
