@@ -61,19 +61,15 @@ var benchShardCounts = []int{1, 2, 4}
 
 // The streaming section measures the bounded-window replay pipeline: a
 // generator-backed synthetic tenant pair (O(1) resident timeline, so the
-// measured heap growth is the replay's own footprint) replayed at each
-// decoded-window size, reporting throughput and live-heap growth per
-// window. Two tenants on two cores keep the merge and scheduler real
+// measured heap growth is the replay's own footprint) replayed through
+// the fixed tenant.DefaultStepWindow, reporting throughput and live-heap
+// growth. Two tenants on two cores keep the merge and scheduler real
 // while the timeline dominates the work.
 const (
 	benchStreamSteps   = 2_000_000
 	benchStreamTenants = 2
 	benchStreamCores   = 2
 )
-
-// benchStreamWindows are the decoded-window sizes (steps per refill) the
-// memory/throughput curve tracks; 1024 is DefaultStepWindow.
-var benchStreamWindows = []int{128, 512, 1024, 8192}
 
 // benchDispatchStats is one measured cell of the report.
 type benchDispatchStats struct {
@@ -126,10 +122,11 @@ type benchShardedSection struct {
 	Rows             []benchShardRow `json:"rows"`
 }
 
-// benchStreamRow is one decoded-window size of the streaming section.
+// benchStreamRow is the streaming section's one measurement, at the
+// decode window it echoes (a one-row array keeps the report's schema).
 // PeakHeapBytes is the replay's live-heap growth measured cold (GC run
-// first, then disabled): the arena, the window ring at this size and the
-// result — the number that stays flat as timelines grow (see
+// first, then disabled): the arena, the window ring and the result — the
+// number that stays flat as timelines grow (see
 // TestSyntheticProfileHeapBounded).
 type benchStreamRow struct {
 	WindowSteps   int     `json:"window_steps"`
@@ -139,7 +136,7 @@ type benchStreamRow struct {
 }
 
 // benchStreamingSection is the bounded-window replay trajectory:
-// throughput and peak heap per window size over a synthetic tenant pair,
+// throughput and peak heap over a synthetic tenant pair,
 // plus the pinned suite's measured timeline-encoding density.
 type benchStreamingSection struct {
 	Steps   int `json:"steps"`
@@ -277,7 +274,7 @@ func (s *session) benchReplay(jsonPath, diffSchemaPath string) error {
 }
 
 // measureStreaming builds the streaming section: a pair of generator-
-// backed synthetic tenants replayed at each decoded-window size. The
+// backed synthetic tenants replayed through the default window. The
 // heap figure is measured cold — a GC first empties the arena sync.Pool,
 // then the collector is paused so the replay's live growth (arena +
 // window ring + result) is read deterministically; the throughput reps
@@ -312,46 +309,43 @@ func measureStreaming(suite []*tenant.Profile) (benchStreamingSection, error) {
 		profiles[i] = p
 	}
 
-	for _, window := range benchStreamWindows {
-		pool := tenant.PoolConfig{Cores: benchStreamCores, Policy: tenant.PolicyLeastLag, StepWindow: window}
+	pool := tenant.PoolConfig{Cores: benchStreamCores, Policy: tenant.PolicyLeastLag}
 
-		// Empty the arena pool so every window measures a cold replay: the
-		// first collection only moves pooled arenas to the victim cache,
-		// which a later Get may or may not reach depending on the P it runs
-		// on.
-		runtime.GC()
-		runtime.GC()
-		gcPct := debug.SetGCPercent(-1)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := tenant.ReplayPool(context.Background(), profiles, pool)
-		runtime.ReadMemStats(&after)
-		debug.SetGCPercent(gcPct)
-		if err != nil {
+	// Empty the arena pool so the replay is measured cold: the first
+	// collection only moves pooled arenas to the victim cache, which a
+	// later Get may or may not reach depending on the P it runs on.
+	runtime.GC()
+	runtime.GC()
+	gcPct := debug.SetGCPercent(-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := tenant.ReplayPool(context.Background(), profiles, pool)
+	runtime.ReadMemStats(&after)
+	debug.SetGCPercent(gcPct)
+	if err != nil {
+		return sec, err
+	}
+	var records uint64
+	for _, tr := range res.Tenants {
+		records += tr.Records
+	}
+
+	var best time.Duration
+	for r := 0; r < benchReps; r++ {
+		start := time.Now()
+		if _, err := tenant.ReplayPool(context.Background(), profiles, pool); err != nil {
 			return sec, err
 		}
-		var records uint64
-		for _, tr := range res.Tenants {
-			records += tr.Records
+		if d := time.Since(start); r == 0 || d < best {
+			best = d
 		}
-
-		var best time.Duration
-		for r := 0; r < benchReps; r++ {
-			start := time.Now()
-			if _, err := tenant.ReplayPool(context.Background(), profiles, pool); err != nil {
-				return sec, err
-			}
-			if d := time.Since(start); r == 0 || d < best {
-				best = d
-			}
-		}
-		sec.Rows = append(sec.Rows, benchStreamRow{
-			WindowSteps:   window,
-			NsPerReplay:   float64(best.Nanoseconds()),
-			RecordsPerSec: float64(records) / best.Seconds(),
-			PeakHeapBytes: after.HeapAlloc - before.HeapAlloc,
-		})
 	}
+	sec.Rows = []benchStreamRow{{
+		WindowSteps:   tenant.DefaultStepWindow,
+		NsPerReplay:   float64(best.Nanoseconds()),
+		RecordsPerSec: float64(records) / best.Seconds(),
+		PeakHeapBytes: after.HeapAlloc - before.HeapAlloc,
+	}}
 	return sec, nil
 }
 

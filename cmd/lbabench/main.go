@@ -97,7 +97,6 @@ func run(args []string, out io.Writer) error {
 		migration  = fs.Uint64("migration", 0, "migration penalty in cycles for serving a record on a cold core (0 = model off)")
 		churn      = fs.Float64("churn", 0, "tenant churn rate for a single cell: arrival spacing in tenant lifetimes (0 = fixed set; the churn figure sweeps rates itself)")
 		shards     = fs.Int("shards", 0, "partition a single cell's pool into K sub-pools replayed in parallel (0/1 = unsharded)")
-		window     = fs.Int("window", 0, "single cell: replay decode window in steps (0 = the "+fmt.Sprint(tenant.DefaultStepWindow)+"-step default)")
 		seeds      = fs.Int("seeds", 1, "workload-seed replications for the churn figure's admission confidence bands")
 		bench      = fs.String("bench", "", "replay — time the production replay path per policy, sharded and streaming (with -json, writes the lba-bench-replay/v2 report)")
 		diffSchema = fs.String("diff-schema", "", "with -bench: diff the fresh report's JSON key paths against this committed trajectory file (exits non-zero on drift)")
@@ -112,19 +111,14 @@ func run(args []string, out io.Writer) error {
 	if *tenants < 0 {
 		return fmt.Errorf("-tenants must be >= 0, got %d", *tenants)
 	}
-	// The pool shape must be coherent before any experiment runs: a
-	// zero-core pool cannot serve, a negative shard count is meaningless,
-	// and more shards than cores cannot partition the pool.
-	if *pool < 1 {
-		return fmt.Errorf("-pool must be >= 1 lifeguard core, got %d", *pool)
+	wts, err := tenant.ParseWeights(*weights)
+	if err != nil {
+		return err
 	}
-	if *shards < 0 || *shards > *pool {
-		return fmt.Errorf("-shards must be in 0..pool (%d cores), got %d", *pool, *shards)
-	}
-	if err := tenant.ValidateStepWindow(*window); err != nil {
-		return fmt.Errorf("-window: %w", err)
-	}
-	if err := tenant.ValidPolicy(*sched); err != nil {
+	// The pool shape must be coherent before any experiment runs.
+	basePool := tenant.PoolConfig{Cores: *pool, Policy: *sched, Weights: wts,
+		DeadlineCycles: *deadline, MigrationPenalty: *migration, Shards: *shards}
+	if err := basePool.Validate(); err != nil {
 		return err
 	}
 	if err := (tenant.Churn{Rate: *churn}).Validate(); err != nil {
@@ -132,10 +126,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *seeds < 1 {
 		return fmt.Errorf("-seeds must be >= 1, got %d", *seeds)
-	}
-	wts, err := tenant.ParseWeights(*weights)
-	if err != nil {
-		return err
 	}
 	// The pool flags are consumed by the single-cell path and (except for
 	// -sched, which the figure sweeps itself) by the sched and affinity
@@ -197,12 +187,6 @@ func run(args []string, out io.Writer) error {
 			if !cellMode {
 				conflict = fmt.Errorf("-shards only applies with -tenants N (single multi-tenant cell)")
 			}
-		case "window":
-			// Same reasoning: the figures' artifacts pin the default decode
-			// window, so an explicit -window is a single-cell knob.
-			if !cellMode {
-				conflict = fmt.Errorf("-window only applies with -tenants N (single multi-tenant cell)")
-			}
 		case "seeds":
 			if !churnFig {
 				conflict = fmt.Errorf("-seeds only applies with -fig churn (confidence bands for the admission search)")
@@ -214,12 +198,10 @@ func run(args []string, out io.Writer) error {
 	}
 
 	s := &session{
-		out:     out,
-		eng:     runner.New(*workers),
-		metrics: map[string]float64{},
-		basePool: tenant.PoolConfig{Cores: *pool, Policy: *sched, Weights: wts,
-			DeadlineCycles: *deadline, MigrationPenalty: *migration, Shards: *shards,
-			StepWindow: *window},
+		out:       out,
+		eng:       runner.New(*workers),
+		metrics:   map[string]float64{},
+		basePool:  basePool,
 		churnRate: *churn,
 		seeds:     *seeds,
 	}

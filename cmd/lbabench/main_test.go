@@ -194,10 +194,7 @@ func TestPoolFlagValidation(t *testing.T) {
 		{[]string{"-fig", "sched", "-pool", "0"}, "figure sweeps need a real pool too"},
 		{[]string{"-tenants", "4", "-pool", "2", "-shards", "-1", "-n", "30000"}, "negative shard counts are rejected"},
 		{[]string{"-tenants", "4", "-pool", "2", "-shards", "3", "-n", "30000"}, "more shards than cores cannot partition"},
-		{[]string{"-tenants", "2", "-window", "-1", "-n", "30000"}, "negative decode windows are rejected"},
-		{[]string{"-tenants", "2", "-window", "-1024", "-n", "30000"}, "any negative decode window is rejected, not just -1"},
-		{[]string{"-window", "512"}, "the decode window is a single-cell knob"},
-		{[]string{"-fig", "sched", "-window", "512"}, "the figures pin the default decode window"},
+		{[]string{"-tenants", "2", "-window", "512", "-n", "30000"}, "the decode window is fixed; there is no -window flag"},
 	} {
 		if err := run(c.args, io.Discard); err == nil {
 			t.Errorf("args %v should fail (%s)", c.args, c.why)

@@ -80,7 +80,6 @@ func runDaemon(args []string, out io.Writer) error {
 		threads   = fs.Int("threads", serve.DefaultThreads, "worker threads for multithreaded benchmarks")
 		maxT      = fs.Int("max-tenants", serve.DefaultMaxTenants, "hard population cap")
 		workers   = fs.Int("workers", 0, "profiling worker pool width (0 = NumCPU)")
-		window    = fs.Int("window", 0, "replay decode window in steps (0 = the "+fmt.Sprint(tenant.DefaultStepWindow)+"-step default)")
 		shards    = fs.Int("shards", 0, "partition the pool into K sub-pools replayed in parallel (0/1 = unsharded)")
 		migration = fs.Uint64("migration", 0, "migration penalty in cycles for serving a record on a cold core (0 = model off)")
 	)
@@ -96,25 +95,20 @@ func runDaemon(args []string, out io.Writer) error {
 	if *data == "" {
 		return fmt.Errorf("-data is required: the daemon's tenant set must survive a restart")
 	}
-	if *pool < 1 {
-		return fmt.Errorf("-pool must be >= 1 lifeguard core, got %d", *pool)
-	}
-	if *shards < 0 || *shards > *pool {
-		return fmt.Errorf("-shards must be in 0..pool (%d cores), got %d", *pool, *shards)
-	}
-	if err := tenant.ValidateStepWindow(*window); err != nil {
-		return fmt.Errorf("-window: %w", err)
-	}
-
 	cfg := serve.Config{
 		Pool: tenant.PoolConfig{Cores: *pool, Policy: *sched,
-			MigrationPenalty: *migration, Shards: *shards, StepWindow: *window},
+			MigrationPenalty: *migration, Shards: *shards},
 		SLO:        *slo,
 		Scale:      *scale,
 		Seed:       *seed,
 		Threads:    *threads,
 		MaxTenants: *maxT,
 		Workers:    *workers,
+	}
+	// Validate the flags' pool as given: serve.New would default a zero
+	// -pool to its serving default instead of rejecting it.
+	if err := cfg.Pool.Validate(); err != nil {
+		return err
 	}
 
 	// Bind before announcing: a "listening" line means requests work.

@@ -52,3 +52,28 @@ func TestStatusShowsLastError(t *testing.T) {
 		t.Errorf("status does not show the failed snapshot:\n%s", out.String())
 	}
 }
+
+// TestDaemonPoolFlagValidation: an incoherent pool shape fails before
+// the daemon binds its address or touches its data directory. A zero
+// -pool is rejected, not defaulted to the serving pool.
+func TestDaemonPoolFlagValidation(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		why  string
+	}{
+		{[]string{"-pool", "0"}, "a zero-core pool cannot serve"},
+		{[]string{"-pool", "2", "-shards", "3"}, "more shards than cores cannot partition"},
+		{[]string{"-shards", "-1"}, "negative shard counts are rejected"},
+		{[]string{"-sched", "fifo"}, "unknown schedulers are rejected"},
+		{[]string{"-window", "512"}, "the decode window is fixed; there is no -window flag"},
+	} {
+		data := filepath.Join(t.TempDir(), "data")
+		args := append([]string{"-addr", "127.0.0.1:0", "-data", data}, c.args...)
+		if err := run(args, &bytes.Buffer{}); err == nil {
+			t.Errorf("args %v should fail (%s)", c.args, c.why)
+		}
+		if _, err := os.Stat(data); !os.IsNotExist(err) {
+			t.Errorf("args %v: the data directory was created before the pool was validated", c.args)
+		}
+	}
+}

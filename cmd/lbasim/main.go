@@ -77,7 +77,6 @@ func run(args []string, out io.Writer) error {
 		churn     = fs.Float64("churn", 0, "tenant churn rate: arrival spacing in units of the workload scale (0 = fixed set)")
 		seeds     = fs.Int("seeds", 1, "replicate the pool cell across N workload seeds and report the band")
 		shards    = fs.Int("shards", 0, "partition the pool into K sub-pools replayed in parallel (0/1 = unsharded)")
-		window    = fs.Int("window", 0, "replay decode window in steps (0 = the "+fmt.Sprint(tenant.DefaultStepWindow)+"-step default)")
 		list      = fs.Bool("list", false, "list benchmarks and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -117,36 +116,27 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// The pool shape must be coherent before any profiling runs: a
-		// zero-core pool cannot serve, a negative shard count is
-		// meaningless, and more shards than cores cannot partition.
-		if *pool < 1 {
-			return fmt.Errorf("-pool must be >= 1 lifeguard core, got %d", *pool)
-		}
-		if *shards < 0 || *shards > *pool {
-			return fmt.Errorf("-shards must be in 0..pool (%d cores), got %d", *pool, *shards)
-		}
-		if *seeds < 1 {
-			return fmt.Errorf("-seeds must be >= 1, got %d", *seeds)
-		}
-		if err := tenant.ValidateStepWindow(*window); err != nil {
-			return fmt.Errorf("-window: %w", err)
-		}
-		if err := (tenant.Churn{Rate: *churn}).Validate(); err != nil {
-			return err
-		}
 		wts, err := tenant.ParseWeights(*weights)
 		if err != nil {
 			return err
 		}
+		// The pool shape must be coherent before any profiling runs.
 		cfg := tenant.PoolConfig{Cores: *pool, Policy: *sched, Weights: wts,
-			DeadlineCycles: *deadline, MigrationPenalty: *migration, Shards: *shards,
-			StepWindow: *window}
+			DeadlineCycles: *deadline, MigrationPenalty: *migration, Shards: *shards}
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+		if *seeds < 1 {
+			return fmt.Errorf("-seeds must be >= 1, got %d", *seeds)
+		}
+		if err := (tenant.Churn{Rate: *churn}).Validate(); err != nil {
+			return err
+		}
 		return runTenants(out, *tenants, cfg, *scale, *seed, *threads, *churn, *seeds)
 	default:
 		// Mirror image: pool flags only mean something with -tenants.
 		var err error
-		conflicting := map[string]bool{"pool": true, "sched": true, "weights": true, "deadline": true, "migration": true, "churn": true, "seeds": true, "shards": true, "window": true}
+		conflicting := map[string]bool{"pool": true, "sched": true, "weights": true, "deadline": true, "migration": true, "churn": true, "seeds": true, "shards": true}
 		fs.Visit(func(f *flag.Flag) {
 			if conflicting[f.Name] && err == nil {
 				err = fmt.Errorf("-%s only applies with -tenants N", f.Name)

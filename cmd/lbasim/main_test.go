@@ -21,9 +21,8 @@ func TestPoolFlagValidation(t *testing.T) {
 		{[]string{"-tenants", "4", "-pool", "2", "-shards", "-1"}, "negative shard counts are rejected"},
 		{[]string{"-tenants", "4", "-pool", "2", "-shards", "3"}, "more shards than cores cannot partition"},
 		{[]string{"-tenants", "2", "-seeds", "0"}, "replication needs at least one seed"},
-		{[]string{"-tenants", "2", "-window", "-1"}, "negative decode windows are rejected"},
-		{[]string{"-tenants", "2", "-window", "-1024"}, "any negative decode window is rejected, not just -1"},
-		{[]string{"-window", "512"}, "the decode window is a pool-replay knob"},
+		{[]string{"-tenants", "2", "-sched", "fifo"}, "unknown schedulers are rejected before profiling"},
+		{[]string{"-tenants", "2", "-window", "512"}, "the decode window is fixed; there is no -window flag"},
 		{[]string{"-tenants", "2", "-churn", "-0.5"}, "negative churn rates are negative times"},
 		{[]string{"-tenants", "2", "-bench", "gzip"}, "single-run selectors conflict with a pool"},
 		{[]string{"-tenants", "2", "-bug", "leak"}, "injected bugs are a single-run selector"},

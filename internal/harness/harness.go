@@ -323,25 +323,15 @@ func (h *executor) runPool(ctx context.Context, s Scenario, c *Criteria) (*Artif
 	return &Artifact{Schema: ArtifactSchema, ID: s.ID, Kind: s.Kind, Checks: checks, Cell: &cell}, nil
 }
 
-// dispatchOracle replays the scenario's profiles through the per-record
-// reference (tenant.ReplayPoolReference) and deep-compares against the
-// batched result — the corpus form of the
-// TestBatchedDispatchMatchesPerRecord differential.
+// dispatchOracle replays the scenario's profiles (tenant.Engine.Profiles,
+// the ones RunPool replayed) through the per-record reference
+// (tenant.ReplayPoolReference) and deep-compares against the batched
+// result — the corpus form of the TestBatchedDispatchMatchesPerRecord
+// differential.
 func (h *executor) dispatchOracle(ctx context.Context, set []tenant.Tenant, pool tenant.PoolConfig, batched *tenant.PoolResult) (bool, string, error) {
-	profiles := make([]*tenant.Profile, len(set))
-	for i, t := range set {
-		p, err := h.ten.Profile(ctx, t)
-		if err != nil {
-			return false, "", err
-		}
-		// Memoized profiles are window-free; overlay this scenario's
-		// churn window on a copy, like Engine.RunPool does.
-		if p.Tenant.ArriveAt != t.ArriveAt || p.Tenant.DepartAfter != t.DepartAfter {
-			cp := *p
-			cp.Tenant.ArriveAt, cp.Tenant.DepartAfter = t.ArriveAt, t.DepartAfter
-			p = &cp
-		}
-		profiles[i] = p
+	profiles, err := h.ten.Profiles(ctx, set)
+	if err != nil {
+		return false, "", err
 	}
 	oracle, err := tenant.ReplayPoolReference(ctx, profiles, pool)
 	if err != nil {

@@ -206,14 +206,8 @@ func parseScenario(rec []string) (Scenario, error) {
 			return s, err
 		}
 		s.Policy = row.get("policy")
-		if err := tenant.ValidPolicy(s.Policy); err != nil {
-			return s, fmt.Errorf("scenario %q: %v", s.ID, err)
-		}
 		if s.Pool, err = intCell(row, "pool", 0); err != nil {
 			return s, err
-		}
-		if s.Pool < 1 {
-			return s, fmt.Errorf("scenario %q: pool must be >= 1 lifeguard core, got %d", s.ID, s.Pool)
 		}
 		if s.Tenants, err = intCell(row, "tenants", 0); err != nil {
 			return s, err
@@ -233,14 +227,14 @@ func parseScenario(rec []string) (Scenario, error) {
 		if s.Shards, err = intCell(row, "shards", 0); err != nil {
 			return s, err
 		}
+		if err := s.poolConfig().Validate(); err != nil {
+			return s, fmt.Errorf("scenario %q: %v", s.ID, err)
+		}
 
 		switch s.Kind {
 		case KindPool:
 			if s.Tenants < 1 {
 				return s, fmt.Errorf("scenario %q: a pool scenario needs tenants >= 1, got %d", s.ID, s.Tenants)
-			}
-			if s.Shards < 0 || s.Shards > s.Pool {
-				return s, fmt.Errorf("scenario %q: shards %d outside 0..pool (%d cores)", s.ID, s.Shards, s.Pool)
 			}
 			if slo := row.get("slo"); slo != "" {
 				return s, fmt.Errorf("scenario %q: slo only applies to admission scenarios", s.ID)

@@ -124,21 +124,20 @@ type TenantRow struct {
 type TenantCell struct {
 	Cores  int    `json:"cores"`
 	Policy string `json:"policy"`
-	// Weights, DeadlineCycles, MigrationPenalty and
-	// WarmthHalfLifeBytes echo the scheduler's policy inputs when the
-	// cell was configured with any, so artifacts stay self-describing
-	// across wfq / priority / deadline / affinity runs.
-	Weights             []float64   `json:"weights,omitempty"`
-	DeadlineCycles      uint64      `json:"deadline_cycles,omitempty"`
-	MigrationPenalty    uint64      `json:"migration_penalty,omitempty"`
-	WarmthHalfLifeBytes uint64      `json:"warmth_half_life_bytes,omitempty"`
-	Tenants             []TenantRow `json:"tenants"`
-	MeanSlowdown        float64     `json:"mean_slowdown"`
-	MaxSlowdown         float64     `json:"max_slowdown"`
-	MeanContentionX     float64     `json:"mean_contention_x,omitempty"`
-	MaxContentionX      float64     `json:"max_contention_x,omitempty"`
-	MakespanCycles      uint64      `json:"makespan_cycles"`
-	Utilisation         float64     `json:"utilisation"`
+	// Weights, DeadlineCycles and MigrationPenalty echo the scheduler's
+	// policy inputs when the cell was configured with any, so artifacts
+	// stay self-describing across wfq / priority / deadline / affinity
+	// runs.
+	Weights          []float64   `json:"weights,omitempty"`
+	DeadlineCycles   uint64      `json:"deadline_cycles,omitempty"`
+	MigrationPenalty uint64      `json:"migration_penalty,omitempty"`
+	Tenants          []TenantRow `json:"tenants"`
+	MeanSlowdown     float64     `json:"mean_slowdown"`
+	MaxSlowdown      float64     `json:"max_slowdown"`
+	MeanContentionX  float64     `json:"mean_contention_x,omitempty"`
+	MaxContentionX   float64     `json:"max_contention_x,omitempty"`
+	MakespanCycles   uint64      `json:"makespan_cycles"`
+	Utilisation      float64     `json:"utilisation"`
 	// Shards is the sub-pool count of a sharded replay; present only when
 	// the cell actually partitioned (>= 2 shards, static-partitioning
 	// semantics), so single-pool artifacts keep the unsharded schema.

@@ -438,7 +438,8 @@ func TestServerConfigValidation(t *testing.T) {
 		{func(c *Config) { c.Pool.Cores = -1 }, "a negative pool cannot serve"},
 		{func(c *Config) { c.Pool.Policy = "no-such-policy" }, "unknown schedulers are rejected"},
 		{func(c *Config) { c.MaxTenants = -2 }, "a negative cap is meaningless"},
-		{func(c *Config) { c.Pool.StepWindow = -1 }, "negative decode windows are rejected at the daemon boundary"},
+		{func(c *Config) { c.Pool.Cores, c.Pool.Shards = 2, 3 }, "more shards than cores cannot partition the pool"},
+		{func(c *Config) { c.Pool.Shards = -1 }, "a negative shard count is meaningless"},
 	}
 	for _, c := range cases {
 		cfg := testConfig()

@@ -22,7 +22,8 @@ import (
 // serving default, applied by New.
 type Config struct {
 	// Pool is the shared lifeguard-core pool the live population replays
-	// against; its StepWindow and Shards knobs apply to every replay.
+	// against; its shape (tenant.PoolConfig.Validate) and policy inputs
+	// apply to every replay.
 	Pool tenant.PoolConfig
 	// SLO is the contention bound admission enforces (>= 1); admitting a
 	// tenant must keep every tenant's contention factor within it.
@@ -82,16 +83,10 @@ func (c Config) validate() error {
 	if c.SLO < 1 {
 		return fmt.Errorf("serve: contention SLO %g < 1 can never be met", c.SLO)
 	}
-	if c.Pool.Cores < 1 {
-		return fmt.Errorf("serve: pool needs at least one core, got %d", c.Pool.Cores)
-	}
 	if c.MaxTenants < 1 {
 		return fmt.Errorf("serve: tenant cap must be >= 1, got %d", c.MaxTenants)
 	}
-	if err := tenant.ValidPolicy(c.Pool.Policy); err != nil {
-		return err
-	}
-	return nil
+	return c.Pool.Validate()
 }
 
 // liveTenant is one admitted tenant's server-side record.
@@ -154,9 +149,6 @@ type Server struct {
 func New(cfg Config, dataDir string) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if err := tenant.ValidateStepWindow(cfg.Pool.StepWindow); err != nil {
 		return nil, err
 	}
 	store, entries, err := open(dataDir)

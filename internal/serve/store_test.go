@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -127,4 +128,150 @@ func TestAdmitFailsAfterAuditSyncFailure(t *testing.T) {
 	if m := getMetrics(t, ts.URL); !strings.Contains(m, "lbad_admitted_total 0\n") || !strings.Contains(m, "lbad_audit_records 0\n") {
 		t.Errorf("an unpersisted admission was counted:\n%s", m)
 	}
+}
+
+// TestAuditLogCrashPointSweep kills the audit log at every byte offset:
+// a crash can leave any prefix of audit.jsonl on disk. At each offset
+// Open recovers exactly the entries whose newline the prefix holds, cuts
+// the file back to the end of the last of them, and numbers the next
+// append one past it; New folds the same live set, so a torn tail never
+// turns into state.
+func TestAuditLogCrashPointSweep(t *testing.T) {
+	src := t.TempDir()
+	s, err := Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written []AuditEntry
+	for _, e := range []AuditEntry{
+		{Op: "admit", TenantID: 1, Name: "t1-gzip", Benchmark: "gzip", Seed: 1, Draw: 1, SLO: 10, ContentionX: 1},
+		{Op: "admit", TenantID: 2, Name: "t2-mcf", Benchmark: "mcf", Seed: 2, Draw: 2, SLO: 10, Population: 1, ContentionX: 1.5},
+		{Op: "reject", SLO: 10, Population: 2, ContentionX: 12.5},
+		{Op: "evict", TenantID: 1, Name: "t1-gzip", Benchmark: "gzip", Seed: 1},
+		{Op: "admit", TenantID: 3, Name: "t3-bc", Benchmark: "bc", Seed: 3, SLO: 10, Population: 1, ContentionX: 2},
+		{Op: "evict", TenantID: 2, Name: "t2-mcf", Benchmark: "mcf", Seed: 2},
+	} {
+		got, err := s.Append(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		written = append(written, got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(filepath.Join(src, auditFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int // ends[i]: the offset just past entry i's newline
+	for i, b := range full {
+		if b == '\n' {
+			ends = append(ends, i+1)
+		}
+	}
+	if len(ends) != len(written) {
+		t.Fatalf("log holds %d lines for %d appends", len(ends), len(written))
+	}
+
+	cfg := testConfig()
+	cfg.Scale, cfg.Workers = 2_000, 1
+	dir := t.TempDir()
+	path := filepath.Join(dir, auditFile)
+	crash := func(k int) {
+		t.Helper()
+		if err := os.WriteFile(path, full[:k], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k <= len(full); k++ {
+		n, valid := 0, 0
+		for n < len(ends) && ends[n] <= k {
+			valid = ends[n]
+			n++
+		}
+		want := written[:n]
+
+		crash(k)
+		st, got, err := open(dir)
+		if err != nil {
+			t.Fatalf("offset %d: Open: %v", k, err)
+		}
+		if len(got) != n || (n > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("offset %d: recovered %d entries, want the %d whose newline the prefix holds", k, len(got), n)
+		}
+		if info, err := os.Stat(path); err != nil || info.Size() != int64(valid) {
+			t.Fatalf("offset %d: log not cut back to the %d-byte prefix (stat %v, %v)", k, valid, info, err)
+		}
+		next, err := st.Append(AuditEntry{Op: "reject", SLO: 10})
+		if err != nil {
+			t.Fatalf("offset %d: Append: %v", k, err)
+		}
+		if next.Seq != uint64(n)+1 {
+			t.Fatalf("offset %d: next append took seq %d, want %d", k, next.Seq, n+1)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if data, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(data, full[:valid]) ||
+			bytes.Count(data, []byte("\n")) != n+1 {
+			t.Fatalf("offset %d: the append did not land right after the recovered prefix:\n%s", k, data)
+		}
+
+		crash(k)
+		srv, err := New(cfg, dir)
+		if err != nil {
+			t.Fatalf("offset %d: New: %v", k, err)
+		}
+		wantOrder, wantBench := foldAudit(want)
+		srv.mu.Lock()
+		order := append([]int{}, srv.order...)
+		bench := map[int]string{}
+		for id, lt := range srv.live {
+			bench[id] = lt.tn.Benchmark
+		}
+		nextID, draws := srv.nextID, srv.draws
+		srv.mu.Unlock()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // no need to wait out the recovery replay
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(order, wantOrder) || !reflect.DeepEqual(bench, wantBench) {
+			t.Fatalf("offset %d: New folded live set %v %v, want %v %v", k, order, bench, wantOrder, wantBench)
+		}
+		wantNext, wantDraws := 1, 0
+		for _, e := range want {
+			if e.Op == "admit" {
+				wantNext = max(wantNext, e.TenantID+1)
+				wantDraws = max(wantDraws, e.Draw)
+			}
+		}
+		if nextID != wantNext || draws != wantDraws {
+			t.Fatalf("offset %d: New resumed id %d / draw %d, want %d / %d", k, nextID, draws, wantNext, wantDraws)
+		}
+	}
+}
+
+// foldAudit is the live set a sequence of audit entries describes, in
+// admission order, with each live tenant's benchmark: the test's oracle
+// for Server recovery.
+func foldAudit(entries []AuditEntry) ([]int, map[int]string) {
+	order, bench := []int{}, map[int]string{}
+	for _, e := range entries {
+		switch e.Op {
+		case "admit":
+			order = append(order, e.TenantID)
+			bench[e.TenantID] = e.Benchmark
+		case "evict":
+			delete(bench, e.TenantID)
+			for i, id := range order {
+				if id == e.TenantID {
+					order = append(order[:i], order[i+1:]...)
+					break
+				}
+			}
+		}
+	}
+	return order, bench
 }

@@ -65,24 +65,25 @@ func TestReplayCancelledBeforeStart(t *testing.T) {
 // TestReplayCancelAbortsWithinWindow is the acceptance bound: a context
 // cancelled mid-replay aborts the merge within one decode window — the
 // cancellation check sits at cursor-refill boundaries, so at most
-// StepWindow more records are served after the cancel lands.
+// one window's worth more records are served after the cancel lands.
 func TestReplayCancelAbortsWithinWindow(t *testing.T) {
 	const window = 256
 	const cancelAt = 10
 	for _, perRecord := range []bool{false, true} {
 		profiles := []*Profile{longSyntheticProfile(t, "long", 100_000)}
-		pool := PoolConfig{Cores: 1, Policy: PolicyLeastLag, StepWindow: window}
+		pool := PoolConfig{Cores: 1, Policy: PolicyLeastLag}
 		ctx, cancel := context.WithCancel(context.Background())
 		served, after := 0, 0
-		res, err := replayMode(ctx, profiles, pool, func(ti, core int, req Request, charge, finish uint64) {
-			served++
-			if served == cancelAt {
-				cancel()
-			}
-			if served > cancelAt {
-				after++
-			}
-		}, perRecord)
+		res, err := replayMode(ctx, profiles, pool, replayOpts{window: window, perRecord: perRecord,
+			obs: func(ti, core int, req Request, charge, finish uint64) {
+				served++
+				if served == cancelAt {
+					cancel()
+				}
+				if served > cancelAt {
+					after++
+				}
+			}})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("perRecord=%v: want context.Canceled, got %v", perRecord, err)
@@ -160,37 +161,44 @@ func TestShardedReplayCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestNegativeStepWindowRejected pins the validation boundary: a negative
-// decode window is an error everywhere a PoolConfig enters the replay,
-// not a silent coercion to DefaultStepWindow.
-func TestNegativeStepWindowRejected(t *testing.T) {
+// TestPoolValidatedAtEntryPoints pins the validation boundary: a pool shape
+// PoolConfig.Validate rejects is an error at every entry point a
+// PoolConfig enters the replay through — Engine.RunPool before any
+// profiling runs.
+func TestPoolValidatedAtEntryPoints(t *testing.T) {
 	profiles := []*Profile{longSyntheticProfile(t, "w", 100)}
-	pool := PoolConfig{Cores: 1, Policy: PolicyLeastLag, StepWindow: -1}
+	pool := PoolConfig{Cores: 1, Policy: PolicyLeastLag, Shards: 2}
+	eng := NewEngine(1, nil)
 
 	cases := []struct {
-		name string
-		call func() error
+		name, want string
+		call       func() error
 	}{
-		{"ReplayPool/batched", func() error {
+		{"ReplayPool/batched", "lifeguard core", func() error {
+			unsharded := pool
+			unsharded.Shards, unsharded.Cores = 0, 0
+			_, err := ReplayPool(context.Background(), profiles, unsharded)
+			return err
+		}},
+		{"ReplayPool/per-record", "unknown scheduling policy", func() error {
+			unsharded := pool
+			unsharded.Shards, unsharded.Policy = 0, "fifo?"
+			_, err := ReplayPoolReference(context.Background(), profiles, unsharded)
+			return err
+		}},
+		{"ReplayPool/sharded", "shards 2 outside", func() error {
 			_, err := ReplayPool(context.Background(), profiles, pool)
 			return err
 		}},
-		{"ReplayPool/per-record", func() error {
-			_, err := ReplayPoolReference(context.Background(), profiles, pool)
-			return err
-		}},
-		{"ReplayPool/sharded", func() error {
-			sharded := pool
-			sharded.Shards = 2
-			_, err := ReplayPool(context.Background(), profiles, sharded)
-			return err
-		}},
-		{"Engine.RunPool", func() error {
+		{"Engine.RunPool", "shards 2 outside", func() error {
 			set, err := FromSuite(1, workloads.Config{Scale: 2000, Seed: 1, Threads: 2}, core.DefaultConfig())
 			if err != nil {
 				return err
 			}
-			_, err = NewEngine(1, nil).RunPool(context.Background(), set, pool)
+			_, err = eng.RunPool(context.Background(), set, pool)
+			if n := eng.ProfileCacheLen(); n != 0 {
+				t.Errorf("an invalid pool profiled %d tenants before it was rejected", n)
+			}
 			return err
 		}},
 	}
@@ -198,10 +206,10 @@ func TestNegativeStepWindowRejected(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.call()
 			if err == nil {
-				t.Fatal("negative StepWindow accepted")
+				t.Fatal("invalid pool accepted")
 			}
-			if !strings.Contains(err.Error(), "step window") {
-				t.Fatalf("error does not name the step window: %v", err)
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error does not name the invalid shape (want %q): %v", tc.want, err)
 			}
 		})
 	}

@@ -238,7 +238,7 @@ func TestChurnReplayInvariants(t *testing.T) {
 			pool := PoolConfig{Cores: cores, Policy: policy, Weights: []float64{2, 1}, MigrationPenalty: 50}
 			maxFinish := make([]uint64, len(profiles))
 			served := make([]uint64, len(profiles))
-			res, err := replayMode(context.Background(), profiles, pool, func(tenant, core int, req Request, charge, finish uint64) {
+			res, err := replayMode(context.Background(), profiles, pool, replayOpts{obs: func(tenant, core int, req Request, charge, finish uint64) {
 				if req.Ready < arrives[tenant] {
 					t.Errorf("%s/%dc: tenant %d served a record produced at %d, before its arrival at %d",
 						policy, cores, tenant, req.Ready, arrives[tenant])
@@ -247,7 +247,7 @@ func TestChurnReplayInvariants(t *testing.T) {
 					maxFinish[tenant] = finish
 				}
 				served[tenant]++
-			}, false)
+			}})
 			if err != nil {
 				t.Fatal(err)
 			}

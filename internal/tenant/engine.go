@@ -78,21 +78,33 @@ func (e *Engine) Profile(ctx context.Context, t Tenant) (*Profile, error) {
 }
 
 // RunPool simulates the tenant set sharing one lifeguard-core pool:
-// profiling fans out across the worker pool (memoized), then the serial
-// replay computes the contended timing. Results are independent of the
-// worker count. Tenants may carry arrival/departure windows
-// (Tenant.ArriveAt/DepartAfter): the replay then serves a churning
-// population — schedulers see only live tenants, departing tenants drain
-// and release their channel, and the result gains active-window and
-// peak-concurrency accounting. Invalid windows (a departure at or before
-// the arrival) are rejected before any profiling runs.
+// profiling fans out across the worker pool (memoized, Profiles), then
+// the serial replay computes the contended timing. Results are
+// independent of the worker count. Tenants may carry arrival/departure
+// windows (Tenant.ArriveAt/DepartAfter): the replay then serves a
+// churning population — schedulers see only live tenants, departing
+// tenants drain and release their channel, and the result gains
+// active-window and peak-concurrency accounting. An invalid pool shape
+// (PoolConfig.Validate) or window (a departure at or before the arrival)
+// is rejected before any profiling runs.
 func (e *Engine) RunPool(ctx context.Context, tenants []Tenant, pool PoolConfig) (*PoolResult, error) {
-	// Reject a malformed decode window before any profiling runs, like
-	// the per-tenant window validation below (and unlike the silent
-	// coercion to DefaultStepWindow this replaces).
-	if err := ValidateStepWindow(pool.StepWindow); err != nil {
+	if err := pool.Validate(); err != nil {
 		return nil, err
 	}
+	profiles, err := e.Profiles(ctx, tenants)
+	if err != nil {
+		return nil, err
+	}
+	return ReplayPool(ctx, profiles, pool)
+}
+
+// Profiles returns the tenants' profiles, ready to replay: profiling fans
+// out across the worker pool through the memo (Profile), and each
+// tenant's arrival/departure window is overlaid on a shallow copy of its
+// memoized, window-free profile, never on the cached value. Invalid
+// windows are rejected before any profiling runs. RunPool replays what it
+// returns; the harness's per-record oracle replays the same profiles.
+func (e *Engine) Profiles(ctx context.Context, tenants []Tenant) ([]*Profile, error) {
 	for _, t := range tenants {
 		if err := t.validateWindow(); err != nil {
 			return nil, err
@@ -105,8 +117,6 @@ func (e *Engine) RunPool(ctx context.Context, tenants []Tenant, pool PoolConfig)
 	if err != nil {
 		return nil, err
 	}
-	// Memoized profiles are shared (and window-free); overlay each
-	// caller's churn window on a shallow copy, never on the cached value.
 	for i := range profiles {
 		if a, d := tenants[i].ArriveAt, tenants[i].DepartAfter; profiles[i].Tenant.ArriveAt != a ||
 			profiles[i].Tenant.DepartAfter != d {
@@ -115,7 +125,7 @@ func (e *Engine) RunPool(ctx context.Context, tenants []Tenant, pool PoolConfig)
 			profiles[i] = &p
 		}
 	}
-	return ReplayPool(ctx, profiles, pool)
+	return profiles, nil
 }
 
 // RunMatrix simulates the tenant set against every pool configuration,

@@ -46,9 +46,9 @@ func TestPropertyWFQFairness(t *testing.T) {
 		})
 		servedBits := make([]uint64, n)
 		res, err := replayMode(context.Background(), profiles, PoolConfig{Cores: 2, Policy: PolicyWFQ, Weights: weights},
-			func(tenant, core int, req Request, charge, finish uint64) {
+			replayOpts{obs: func(tenant, core int, req Request, charge, finish uint64) {
 				servedBits[tenant] += req.Bits
-			}, false)
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,10 +112,10 @@ func TestPropertyConservationAllPolicies(t *testing.T) {
 		records := make([]uint64, len(profiles))
 		bits := make([]uint64, len(profiles))
 		if _, err := replayMode(context.Background(), profiles, pool,
-			func(tenant, core int, req Request, charge, finish uint64) {
+			replayOpts{obs: func(tenant, core int, req Request, charge, finish uint64) {
 				records[tenant]++
 				bits[tenant] += req.Bits
-			}, false); err != nil {
+			}}); err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}
 		for i, p := range profiles {

@@ -346,22 +346,24 @@ func FuzzReplayInvariants(f *testing.F) {
 		}
 		cores := 1 + int(mid)%4
 		penalty := 1 + uint64(first)*8
+		// A 256-byte warmth half-life (16x shorter than the default) makes
+		// warmth swing within these short timelines.
+		short := replayOpts{halfLifeBytes: 256}
 		for _, policy := range Policies() {
 			for _, migration := range []uint64{0, penalty} {
 				pool := PoolConfig{
-					Cores:               cores,
-					Policy:              policy,
-					Weights:             []float64{2, 1},
-					DeadlineCycles:      1 + uint64(first)*16,
-					MigrationPenalty:    migration,
-					WarmthHalfLifeBytes: 256,
+					Cores:            cores,
+					Policy:           policy,
+					Weights:          []float64{2, 1},
+					DeadlineCycles:   1 + uint64(first)*16,
+					MigrationPenalty: migration,
 				}
 				// Observe service as it unfolds: no record is produced
 				// before its tenant arrives, and the lifeguard-side finish
 				// of every record is known so channel release can be
 				// checked against the drain rule below.
 				maxFinish := make([]uint64, len(profiles))
-				res, err := replayMode(context.Background(), profiles, pool, func(tenant, core int, req Request, charge, finish uint64) {
+				res, err := replayMode(context.Background(), profiles, pool, replayOpts{halfLifeBytes: short.halfLifeBytes, obs: func(tenant, core int, req Request, charge, finish uint64) {
 					if req.Ready < profiles[tenant].Tenant.ArriveAt {
 						t.Errorf("%s: tenant %d served at %d before its arrival at %d",
 							policy, tenant, req.Ready, profiles[tenant].Tenant.ArriveAt)
@@ -369,7 +371,7 @@ func FuzzReplayInvariants(f *testing.F) {
 					if finish > maxFinish[tenant] {
 						maxFinish[tenant] = finish
 					}
-				}, false)
+				}})
 				if err != nil {
 					t.Fatalf("%s: replay failed on valid input: %v", policy, err)
 				}
@@ -381,7 +383,7 @@ func FuzzReplayInvariants(f *testing.F) {
 				}
 				checkReplayInvariants(t, policy, profiles, pool, res, totalCost)
 
-				again, err := ReplayPool(context.Background(), profiles, pool)
+				again, err := replayMode(context.Background(), profiles, pool, short)
 				if err != nil {
 					t.Fatalf("%s: second replay failed: %v", policy, err)
 				}
@@ -408,9 +410,8 @@ func FuzzReplayInvariants(f *testing.F) {
 		rrRes := make([]*PoolResult, len(penalties))
 		clean := true
 		for pi, migration := range penalties {
-			pool := PoolConfig{Cores: cores, Policy: PolicyRoundRobin,
-				MigrationPenalty: migration, WarmthHalfLifeBytes: 256}
-			res, err := ReplayPool(context.Background(), profiles, pool)
+			pool := PoolConfig{Cores: cores, Policy: PolicyRoundRobin, MigrationPenalty: migration}
+			res, err := replayMode(context.Background(), profiles, pool, short)
 			if err != nil {
 				t.Fatalf("round-robin: replay failed: %v", err)
 			}

@@ -35,38 +35,32 @@ type PoolConfig struct {
 	// charged and no migration accounting lands in results, so every
 	// policy's timing is bit-for-bit what it was without the model.
 	MigrationPenalty uint64 `json:"migration_penalty,omitempty"`
-	// WarmthHalfLifeBytes is the shadow-cache warmth half-life: how many
-	// bytes of *other* tenants' log a core must serve to halve a tenant's
-	// warmth there. 0 selects DefaultWarmthHalfLifeBytes.
-	WarmthHalfLifeBytes uint64 `json:"warmth_half_life_bytes,omitempty"`
-	// WarmthIdleHalfLifeCycles is the wall-clock warmth half-life applied
-	// while a core sits idle on a *churned* replay (idle vacancies age the
-	// resident tenants' shadow working sets; fixed-set replays never decay
-	// in wall time). 0 selects DefaultWarmthIdleHalfLifeCycles.
-	WarmthIdleHalfLifeCycles uint64 `json:"warmth_idle_half_life_cycles,omitempty"`
 	// Shards partitions the pool's cores (and its tenants, balanced by
 	// profiled lifeguard load) into that many sub-pools, each replayed
 	// independently on its own goroutine and deterministically merged —
 	// the static-partitioning regime ReplayPool and Engine.RunPool take
 	// when > 1. 0 and 1 both select the single global pool (the batched
-	// replay, byte for byte); values above min(Cores, tenants) are clamped
-	// down to it. See shard.go for the partitioning and merge contract.
+	// replay, byte for byte). At most Cores (Validate); values above the
+	// tenant count are clamped down to it. See shard.go for the
+	// partitioning and merge contract.
 	Shards int `json:"shards,omitempty"`
-	// StepWindow is the decoded-step window size (steps per refill) the
-	// streaming replay reads each tenant's encoded timeline through; 0
-	// selects DefaultStepWindow. Purely an execution knob — results are
-	// byte-identical for every window size (the window only bounds how
-	// many decoded steps are resident per tenant), so it is not echoed in
-	// result cells.
-	StepWindow int `json:"step_window,omitempty"`
 }
 
-// stepWindow resolves the effective decoded-window size.
-func (pool PoolConfig) stepWindow() int {
-	if pool.StepWindow > 0 {
-		return pool.StepWindow
+// Validate checks the pool's shape: at least one core, a shard count in
+// 0..Cores and a known policy (empty selects least-lag). Every boundary a
+// PoolConfig enters through — the replay entry points, Engine.RunPool,
+// the lbad server, the harness runlist and the commands — shares this one
+// check. The clamp of Shards to the tenant count is not part of it: that
+// depends on the population (planShards).
+func (pool PoolConfig) Validate() error {
+	if pool.Cores < 1 {
+		return fmt.Errorf("tenant: pool must be >= 1 lifeguard core, got %d", pool.Cores)
 	}
-	return DefaultStepWindow
+	if pool.Shards < 0 || pool.Shards > pool.Cores {
+		return fmt.Errorf("tenant: shards %d outside 0..pool (%d cores)", pool.Shards, pool.Cores)
+	}
+	_, err := lookupPolicy(pool.Policy)
+	return err
 }
 
 // tenantViews expands the pool's per-tenant policy inputs to n live
@@ -221,13 +215,12 @@ type TenantResult struct {
 // DeadlineCycles echo the policy inputs the cell ran with, so a JSON
 // artifact is self-describing.
 type PoolResult struct {
-	Cores               int
-	Policy              string
-	Weights             []float64
-	DeadlineCycles      uint64
-	MigrationPenalty    uint64
-	WarmthHalfLifeBytes uint64
-	Tenants             []TenantResult
+	Cores            int
+	Policy           string
+	Weights          []float64
+	DeadlineCycles   uint64
+	MigrationPenalty uint64
+	Tenants          []TenantResult
 
 	MeanSlowdown    float64
 	MaxSlowdown     float64
@@ -280,15 +273,9 @@ func (r *PoolResult) Cell() runner.TenantCell {
 		Migrations:       r.Migrations,
 		ColdServeCycles:  r.ColdServeCycles,
 	}
-	// The half-life only shapes results when migrations are priced; echo
-	// it with the rest of the migration schema so zero-penalty artifacts
-	// stay byte-identical to the pre-warmth layout.
-	if r.MigrationPenalty > 0 {
-		cell.WarmthHalfLifeBytes = r.WarmthHalfLifeBytes
-	}
-	// Churn accounting follows the same rule: present only when the cell
-	// actually replayed a churning set, so churn-off artifacts keep the
-	// fixed-set schema byte for byte.
+	// Churn accounting is present only when the cell actually replayed a
+	// churning set, so churn-off artifacts keep the fixed-set schema byte
+	// for byte.
 	if r.Churned {
 		cell.PeakConcurrency = r.PeakConcurrency
 	}
@@ -384,10 +371,13 @@ func (ts *tenantState) activeApp() uint64 {
 // ctx.Err(); a replay that observes a cancelled context never returns a
 // result — the lbad serving daemon's control loop relies on both halves.
 func ReplayPool(ctx context.Context, profiles []*Profile, pool PoolConfig) (*PoolResult, error) {
-	if pool.Shards > 1 || pool.Shards < 0 {
-		return replaySharded(ctx, profiles, pool, true)
+	if err := pool.Validate(); err != nil {
+		return nil, err
 	}
-	return replayMode(ctx, profiles, pool, nil, false)
+	if pool.Shards > 1 {
+		return replaySharded(ctx, profiles, pool, replayOpts{})
+	}
+	return replayMode(ctx, profiles, pool, replayOpts{})
 }
 
 // ReplayPoolReference is the per-record reference replay of a single,
@@ -399,7 +389,13 @@ func ReplayPool(ctx context.Context, profiles []*Profile, pool PoolConfig) (*Poo
 // static partitioning is a different scheduling point, with no
 // per-record reference.
 func ReplayPoolReference(ctx context.Context, profiles []*Profile, pool PoolConfig) (*PoolResult, error) {
-	return replayMode(ctx, profiles, pool, nil, true)
+	if err := pool.Validate(); err != nil {
+		return nil, err
+	}
+	if pool.Shards > 1 {
+		return nil, fmt.Errorf("tenant: the per-record reference replays one pool, got Shards %d", pool.Shards)
+	}
+	return replayMode(ctx, profiles, pool, replayOpts{perRecord: true})
 }
 
 // replayArena is one replay's reusable working memory. Replays run per
@@ -430,8 +426,8 @@ var arenaPool = sync.Pool{New: func() any { return new(replayArena) }}
 // docs/architecture.md ("The replay hot path").
 type replayer struct {
 	pool    PoolConfig
+	opts    replayOpts
 	sched   Scheduler
-	obs     observer
 	churned bool
 
 	// Cancellation: ctx's done channel, checked at decode-window refill
@@ -453,27 +449,29 @@ type replayer struct {
 	ring     *windowRing // decoded-step windows (arena-backed on the batched path)
 }
 
-// observer is an optional per-record hook, invoked after each record is
-// assigned with the producing tenant, the serving core, the request, the
-// migration charge and the lifeguard-side finish cycle. The property and
-// cancellation test tiers pass one to replayMode to watch service unfold;
-// production replays pass nil and pay one nil comparison per record.
+// observer is a per-record hook, invoked after each record is assigned
+// with the producing tenant, the serving core, the request, the migration
+// charge and the lifeguard-side finish cycle.
 type observer func(tenant, core int, req Request, charge, finish uint64)
 
-// replayMode replays one global pool down the batched path, or down the
-// per-record reference path when perRecord is set. Sharding is
-// ReplayPool's routing, so a pool asking for two or more shards is
-// rejected here rather than silently replayed as one pool.
-func replayMode(ctx context.Context, profiles []*Profile, pool PoolConfig, obs observer, perRecord bool) (*PoolResult, error) {
-	if pool.Shards > 1 || pool.Shards < 0 {
-		return nil, fmt.Errorf("tenant: the single-pool replay takes Shards 0 or 1, got %d (ReplayPool partitions sharded pools)", pool.Shards)
-	}
-	if pool.Cores < 1 {
-		return nil, fmt.Errorf("tenant: pool needs at least one core, got %d", pool.Cores)
-	}
-	if err := ValidateStepWindow(pool.StepWindow); err != nil {
-		return nil, err
-	}
+// replayOpts is the replay's test seam: what only the go-test tier sets,
+// to watch service unfold, to run the per-record reference or the serial
+// shard oracle, and to drive the pipeline at decode windows and warmth
+// half-lives production never uses. Production replays pass the zero
+// value, which selects the batched path, parallel shards,
+// DefaultStepWindow and the default half-lives.
+type replayOpts struct {
+	obs                observer // per-record hook; nil costs one comparison per record
+	perRecord          bool     // the per-record reference instead of the batched path
+	serial             bool     // replay shards one by one, in shard order
+	window             int      // decode window in steps; 0 = DefaultStepWindow
+	halfLifeBytes      uint64   // warmth byte half-life; 0 = DefaultWarmthHalfLifeBytes
+	idleHalfLifeCycles uint64   // warmth idle half-life; 0 = DefaultWarmthIdleHalfLifeCycles
+}
+
+// replayMode replays one global pool, already validated and unsharded,
+// down the batched path or the per-record reference (opts.perRecord).
+func replayMode(ctx context.Context, profiles []*Profile, pool PoolConfig, opts replayOpts) (*PoolResult, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("tenant: no tenants")
 	}
@@ -484,15 +482,15 @@ func replayMode(ctx context.Context, profiles []*Profile, pool PoolConfig, obs o
 	if err != nil {
 		return nil, err
 	}
-	r := replayer{pool: pool, sched: sched, obs: obs, ctx: ctx, done: ctx.Done()}
-	if !perRecord {
+	r := replayer{pool: pool, opts: opts, sched: sched, ctx: ctx, done: ctx.Done()}
+	if !opts.perRecord {
 		r.arena = arenaPool.Get().(*replayArena)
 		defer arenaPool.Put(r.arena)
 	}
 	if err := r.setup(profiles); err != nil {
 		return nil, err
 	}
-	if perRecord {
+	if opts.perRecord {
 		err = r.runPerRecord()
 	} else {
 		err = r.runBatched()
@@ -513,19 +511,6 @@ func replayMode(ctx context.Context, profiles []*Profile, pool PoolConfig, obs o
 		return nil, err
 	}
 	return r.finish(), nil
-}
-
-// ValidateStepWindow rejects a negative decode-window size (see
-// PoolConfig.StepWindow; 0 selects DefaultStepWindow) instead of letting
-// stepWindow()'s > 0 test silently coerce it to the default. Every
-// boundary a window enters through — the replay entry points,
-// Engine.RunPool, the lbad server and the commands' -window flags —
-// shares this one check.
-func ValidateStepWindow(window int) error {
-	if window < 0 {
-		return fmt.Errorf("tenant: pool step window must be >= 0 (0 selects the %d-step default), got %d", DefaultStepWindow, window)
-	}
-	return nil
 }
 
 // cancelled reports whether the replay's context has been cancelled. It
@@ -566,7 +551,11 @@ func (r *replayer) setup(profiles []*Profile) error {
 		r.states = make([]tenantState, n)
 		r.ring = &windowRing{}
 	}
-	r.ring.reset(r.pool.stepWindow())
+	window := DefaultStepWindow
+	if r.opts.window > 0 {
+		window = r.opts.window
+	}
+	r.ring.reset(window)
 	for i, p := range profiles {
 		if err := p.Tenant.validateWindow(); err != nil {
 			return err
@@ -605,10 +594,11 @@ func (r *replayer) setup(profiles []*Profile) error {
 		r.views[i].TransportLatency = ts.ch.Config().TransportLatency
 	}
 	if r.warmth != nil {
-		r.warmth.reset(r.pool.Cores, n, r.pool.WarmthHalfLifeBytes, r.pool.WarmthIdleHalfLifeCycles)
+		r.warmth.reset(r.pool.Cores, n)
 	} else {
-		r.warmth = newWarmthModel(r.pool.Cores, n, r.pool.WarmthHalfLifeBytes, r.pool.WarmthIdleHalfLifeCycles)
+		r.warmth = newWarmthModel(r.pool.Cores, n)
 	}
+	r.warmth.setHalfLives(r.opts.halfLifeBytes, r.opts.idleHalfLifeCycles)
 	if cap(r.cores) < r.pool.Cores {
 		r.cores = make([]CoreView, r.pool.Cores)
 	}
@@ -757,8 +747,8 @@ func (r *replayer) commit(ti, core int, now uint64, req Request) error {
 	if ts.depart != 0 {
 		r.retire(ti) // only departing tenants can retire; skip the call otherwise
 	}
-	if r.obs != nil {
-		r.obs(ti, core, req, charge, finish)
+	if r.opts.obs != nil {
+		r.opts.obs(ti, core, req, charge, finish)
 	}
 	return nil
 }
@@ -831,7 +821,7 @@ func (r *replayer) runBatched() error {
 	// Replay-stable state, hoisted so the in-run loop reloads nothing
 	// through r after opaque calls.
 	cores, busy, views := r.cores, r.busy, r.views
-	w, penalty, obs := r.warmth, r.pool.MigrationPenalty, r.obs
+	w, penalty, obs := r.warmth, r.pool.MigrationPenalty, r.opts.obs
 	churned, sched := r.churned, r.sched
 	// Warmth-sensitive schedulers get refreshed warmth views at run start
 	// and picked-core maintenance per record (see Scheduler). Sensitivity
@@ -913,10 +903,9 @@ func (r *replayer) runBatched() error {
 			row := w.warm[base : base+w.stride]
 			charge := migrationCharge(penalty, row[ti])
 			var f float64
-			if req.Bits < factorCacheBits && w.factors != nil {
+			if req.Bits < factorCacheBits {
 				f = w.factors[req.Bits]
-			}
-			if f == 0 {
+			} else {
 				f = w.factor(req.Bits)
 			}
 			d := 1 - f
@@ -980,15 +969,14 @@ func (r *replayer) finish() *PoolResult {
 	}
 
 	res := &PoolResult{
-		Cores:               r.pool.Cores,
-		Policy:              r.sched.Name(),
-		Weights:             r.pool.Weights,
-		DeadlineCycles:      r.pool.DeadlineCycles,
-		MigrationPenalty:    r.pool.MigrationPenalty,
-		WarmthHalfLifeBytes: r.pool.WarmthHalfLifeBytes,
-		CoreBusyCycles:      append([]uint64(nil), r.busy...),
-		CoreWarmth:          r.warmth.snapshot(),
-		Churned:             r.churned,
+		Cores:            r.pool.Cores,
+		Policy:           r.sched.Name(),
+		Weights:          r.pool.Weights,
+		DeadlineCycles:   r.pool.DeadlineCycles,
+		MigrationPenalty: r.pool.MigrationPenalty,
+		CoreBusyCycles:   append([]uint64(nil), r.busy...),
+		CoreWarmth:       r.warmth.snapshot(),
+		Churned:          r.churned,
 	}
 	views, churned := r.views, r.churned
 	for i := range r.states {

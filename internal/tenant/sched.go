@@ -234,34 +234,28 @@ func Policies() []string {
 // the full registry.
 func BaselinePolicies() []string { return []string{PolicyRoundRobin, PolicyLeastLag} }
 
-// ValidPolicy reports whether the named policy exists; the empty
-// string selects the default (least-lag) and is always valid. Command-line
-// front-ends use it to reject -sched typos before any simulation runs.
-func ValidPolicy(policy string) error {
-	if policy == "" {
-		return nil
-	}
-	for _, r := range registry {
-		if r.name == policy {
-			return nil
-		}
-	}
-	return fmt.Errorf("tenant: unknown scheduling policy %q (have %v)", policy, Policies())
-}
-
-// NewScheduler returns a fresh scheduler for the named policy, configured
-// for a replay of n tenants under pool. The empty policy selects
-// least-lag, matching the default every command surface advertises.
-func NewScheduler(policy string, pool PoolConfig, n int) (Scheduler, error) {
+// lookupPolicy returns the named policy's registration; the empty
+// string selects least-lag, the default every command surface advertises.
+func lookupPolicy(policy string) (registration, error) {
 	if policy == "" {
 		policy = PolicyLeastLag
 	}
 	for _, r := range registry {
 		if r.name == policy {
-			return r.build(pool, n), nil
+			return r, nil
 		}
 	}
-	return nil, fmt.Errorf("tenant: unknown scheduling policy %q (have %v)", policy, Policies())
+	return registration{}, fmt.Errorf("tenant: unknown scheduling policy %q (have %v)", policy, Policies())
+}
+
+// NewScheduler returns a fresh scheduler for the named policy (see
+// lookupPolicy), configured for a replay of n tenants under pool.
+func NewScheduler(policy string, pool PoolConfig, n int) (Scheduler, error) {
+	r, err := lookupPolicy(policy)
+	if err != nil {
+		return nil, err
+	}
+	return r.build(pool, n), nil
 }
 
 // ParseWeights parses a comma-separated WFQ weight list ("2,1,0.5") as

@@ -30,10 +30,10 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("policy %d = %q, want %q (registration order is part of the contract)", i, got[i], want[i])
 		}
 	}
-	if err := ValidPolicy("fifo?"); err == nil {
+	if err := (PoolConfig{Cores: 1, Policy: "fifo?"}).Validate(); err == nil {
 		t.Error("unknown policy must be rejected")
 	}
-	if err := ValidPolicy(""); err != nil {
+	if err := (PoolConfig{Cores: 1}).Validate(); err != nil {
 		t.Errorf("empty policy is the default and must validate: %v", err)
 	}
 	if _, err := NewScheduler("fifo?", PoolConfig{}, 1); err == nil {

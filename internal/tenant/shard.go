@@ -47,18 +47,10 @@ type shardSpec struct {
 // first, each to the shard with the least assigned load per core, ties
 // toward the lowest shard index — the classic deterministic makespan
 // heuristic, so shards finish together and the parallel speedup is not
-// throttled by one hot shard.
-func planShards(profiles []*Profile, pool PoolConfig) ([]shardSpec, error) {
-	if pool.Shards < 0 {
-		return nil, fmt.Errorf("tenant: pool shards must be >= 0, got %d", pool.Shards)
-	}
-	k := pool.Shards
-	if k < 1 {
-		k = 1
-	}
-	if k > pool.Cores {
-		k = pool.Cores
-	}
+// throttled by one hot shard. The pool is already validated (Shards <=
+// Cores); K is clamped only to the tenant count.
+func planShards(profiles []*Profile, pool PoolConfig) []shardSpec {
+	k := max(pool.Shards, 1)
 	if n := len(profiles); k > n {
 		k = n
 	}
@@ -101,7 +93,7 @@ func planShards(profiles []*Profile, pool PoolConfig) ([]shardSpec, error) {
 	for s := range specs {
 		sort.Ints(specs[s].tenants)
 	}
-	return specs, nil
+	return specs
 }
 
 // subPool builds the shard's own PoolConfig: the group's core count, with
@@ -123,36 +115,22 @@ func subPool(pool PoolConfig, views []TenantView, spec shardSpec) PoolConfig {
 	return sub
 }
 
-// replaySharded plans the shards and replays them — concurrently when
-// parallel, or one by one in shard order (the serial oracle the
-// differential test pins the parallel path against). A plan of one shard
-// short-circuits to the global batched replay, so its result is the
-// unsharded result, field for field. A cancelled ctx aborts every
-// sub-replay at its next decode-window refill and the call returns
-// ctx.Err(), never a result.
-func replaySharded(ctx context.Context, profiles []*Profile, pool PoolConfig, parallel bool) (*PoolResult, error) {
-	if pool.Cores < 1 {
-		return nil, fmt.Errorf("tenant: pool needs at least one core, got %d", pool.Cores)
-	}
-	if err := ValidateStepWindow(pool.StepWindow); err != nil {
-		return nil, err
-	}
+// replaySharded plans the shards of a validated pool and replays them —
+// concurrently, or one by one in shard order when opts.serial (the oracle
+// the differential test pins the parallel path against). Every sub-replay
+// takes opts. A plan of one shard short-circuits to the global batched
+// replay, so its result is the unsharded result, field for field. A
+// cancelled ctx aborts every sub-replay at its next decode-window refill
+// and the call returns ctx.Err(), never a result.
+func replaySharded(ctx context.Context, profiles []*Profile, pool PoolConfig, opts replayOpts) (*PoolResult, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("tenant: no tenants")
 	}
-	specs, err := planShards(profiles, pool)
-	if err != nil {
-		return nil, err
-	}
+	specs := planShards(profiles, pool)
 	if len(specs) == 1 {
 		sub := pool
 		sub.Shards = 0
-		return replayMode(ctx, profiles, sub, nil, false)
-	}
-	// Fail fast on an unknown policy before spawning anything; sub-replays
-	// would each hit the same error.
-	if err := ValidPolicy(pool.Policy); err != nil {
-		return nil, err
+		return replayMode(ctx, profiles, sub, opts)
 	}
 
 	views := pool.tenantViews(len(profiles))
@@ -164,9 +142,9 @@ func replaySharded(ctx context.Context, profiles []*Profile, pool PoolConfig, pa
 		for j, t := range spec.tenants {
 			subProfiles[j] = profiles[t]
 		}
-		results[s], errs[s] = replayMode(ctx, subProfiles, subPool(pool, views, spec), nil, false)
+		results[s], errs[s] = replayMode(ctx, subProfiles, subPool(pool, views, spec), opts)
 	}
-	if parallel {
+	if !opts.serial {
 		var wg sync.WaitGroup
 		for s := range specs {
 			wg.Add(1)
@@ -208,15 +186,14 @@ func mergeShards(pool PoolConfig, specs []shardSpec, results []*PoolResult) *Poo
 		n += len(spec.tenants)
 	}
 	merged := &PoolResult{
-		Cores:               pool.Cores,
-		Weights:             pool.Weights,
-		DeadlineCycles:      pool.DeadlineCycles,
-		MigrationPenalty:    pool.MigrationPenalty,
-		WarmthHalfLifeBytes: pool.WarmthHalfLifeBytes,
-		Shards:              len(specs),
-		Tenants:             make([]TenantResult, n),
-		CoreBusyCycles:      make([]uint64, pool.Cores),
-		CoreWarmth:          make([][]float64, pool.Cores),
+		Cores:            pool.Cores,
+		Weights:          pool.Weights,
+		DeadlineCycles:   pool.DeadlineCycles,
+		MigrationPenalty: pool.MigrationPenalty,
+		Shards:           len(specs),
+		Tenants:          make([]TenantResult, n),
+		CoreBusyCycles:   make([]uint64, pool.Cores),
+		CoreWarmth:       make([][]float64, pool.Cores),
 	}
 	for c := range merged.CoreWarmth {
 		merged.CoreWarmth[c] = make([]float64, n)

@@ -37,7 +37,7 @@ func shardSuites(t *testing.T) []struct {
 //
 //   - one shard IS the global batched replay: a plan of one shard —
 //     Shards 1 through the planner, or Shards 2 clamped to one plan by a
-//     single core — is deep-equal to ReplayPool on the unsharded pool,
+//     single tenant — is deep-equal to ReplayPool on the unsharded pool,
 //     field for field (so `-shards 1` artifacts are byte-identical to
 //     unsharded ones);
 //   - parallel == serial: for K >= 2 the concurrently-replayed shards
@@ -67,7 +67,7 @@ func TestShardedDispatchMatchesBatched(t *testing.T) {
 							// ReplayPool sends Shards 1 straight to the
 							// unsharded replay, so drive the planner and its
 							// one-plan short-circuit directly.
-							one, err := replaySharded(context.Background(), s.profiles, pool, true)
+							one, err := replaySharded(context.Background(), s.profiles, pool, replayOpts{})
 							if err != nil {
 								t.Fatalf("%s: one-shard replay failed: %v", label, err)
 							}
@@ -79,17 +79,16 @@ func TestShardedDispatchMatchesBatched(t *testing.T) {
 							t.Fatalf("%s: sharded replay failed: %v", label, err)
 						}
 						if shards == 2 {
-							// A single core clamps the plan to one shard:
-							// the route lbad takes at -shards 2 on Cores 1.
-							clamped := pool
-							clamped.Cores = 1
-							one, err := ReplayPool(context.Background(), s.profiles, clamped)
+							// A single tenant clamps the plan to one shard:
+							// the route lbad takes at -shards 2 with one
+							// tenant admitted.
+							one, err := ReplayPool(context.Background(), s.profiles[:1], pool)
 							if err != nil {
 								t.Fatalf("%s: clamped replay failed: %v", label, err)
 							}
-							assertOnePlanIsBatched(t, label+"/cores=1", s.profiles, clamped, one)
+							assertOnePlanIsBatched(t, label+"/tenants=1", s.profiles[:1], pool, one)
 						}
-						serial, err := replaySharded(context.Background(), s.profiles, pool, false)
+						serial, err := replaySharded(context.Background(), s.profiles, pool, replayOpts{serial: true})
 						if err != nil {
 							t.Fatalf("%s: serial sharded replay failed: %v", label, err)
 						}
@@ -135,7 +134,7 @@ func assertOnePlanIsBatched(t *testing.T, label string, profiles []*Profile, poo
 }
 
 // TestShardPlan covers the planner's own contract: deterministic output,
-// clamping to min(cores, tenants), contiguous disjoint core groups that
+// clamping to the tenant count, contiguous disjoint core groups that
 // cover the pool, every tenant assigned exactly once, and no empty shard
 // (the zero-load clamp guarantees the LPT greedy fills every shard before
 // doubling up).
@@ -148,20 +147,16 @@ func TestShardPlan(t *testing.T) {
 		{0, 3, 1},   // unset defaults to one shard
 		{1, 3, 1},   // explicit single shard
 		{2, 3, 2},   // plain split
-		{8, 3, 3},   // clamped to the core count
+		{3, 3, 3},   // one core per shard
 		{4, 16, 4},  // more cores than shards: uneven groups
 		{16, 16, 5}, // clamped to the tenant count
 	} {
 		pool := PoolConfig{Cores: c.cores, Policy: PolicyLeastLag, Shards: c.shards}
-		specs, err := planShards(profiles, pool)
-		if err != nil {
-			t.Fatalf("shards=%d cores=%d: %v", c.shards, c.cores, err)
-		}
+		specs := planShards(profiles, pool)
 		if len(specs) != c.wantK {
 			t.Fatalf("shards=%d cores=%d: planned %d shards, want %d", c.shards, c.cores, len(specs), c.wantK)
 		}
-		again, err := planShards(profiles, pool)
-		if err != nil || !reflect.DeepEqual(specs, again) {
+		if again := planShards(profiles, pool); !reflect.DeepEqual(specs, again) {
 			t.Errorf("shards=%d cores=%d: plan is not deterministic", c.shards, c.cores)
 		}
 
@@ -194,8 +189,10 @@ func TestShardPlan(t *testing.T) {
 		}
 	}
 
-	if _, err := planShards(profiles, PoolConfig{Cores: 2, Shards: -1}); err == nil {
-		t.Error("negative shard count should be rejected")
+	// More shards than cores cannot partition the pool; the entry point
+	// rejects them before the planner runs.
+	if _, err := ReplayPool(context.Background(), profiles, PoolConfig{Cores: 3, Policy: PolicyLeastLag, Shards: 8}); err == nil {
+		t.Error("more shards than cores should be rejected by the replay entry point")
 	}
 	if _, err := ReplayPool(context.Background(), profiles, PoolConfig{Cores: 2, Policy: PolicyLeastLag, Shards: -1}); err == nil {
 		t.Error("negative shard count should be rejected by the replay entry point")
@@ -225,10 +222,7 @@ func TestShardedResultShape(t *testing.T) {
 	if len(res.CoreBusyCycles) != pool.Cores || len(res.CoreWarmth) != pool.Cores {
 		t.Fatalf("core vectors sized %d/%d, want %d", len(res.CoreBusyCycles), len(res.CoreWarmth), pool.Cores)
 	}
-	specs, err := planShards(profiles, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	specs := planShards(profiles, pool)
 	onShard := make([]int, len(profiles))
 	for s, spec := range specs {
 		for _, tn := range spec.tenants {
@@ -247,7 +241,7 @@ func TestShardedResultShape(t *testing.T) {
 
 	flat := pool
 	flat.Shards = 1
-	one, err := replaySharded(context.Background(), profiles, flat, true)
+	one, err := replaySharded(context.Background(), profiles, flat, replayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

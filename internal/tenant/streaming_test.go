@@ -146,26 +146,16 @@ func TestStreamingReplayMatchesMaterialised(t *testing.T) {
 				for shards := 1; shards <= 4; shards++ {
 					for _, penalty := range []uint64{0, 320} {
 						label := fmt.Sprintf("%s/%dsh/p%d", policy, shards, penalty)
-						materialised := PoolConfig{
-							Cores: 4, Policy: policy, MigrationPenalty: penalty,
-							Shards: shards, StepWindow: 1 << 20,
+						pool := PoolConfig{
+							Cores: 4, Policy: policy, MigrationPenalty: penalty, Shards: shards,
 						}
-						streaming := materialised
-						streaming.StepWindow = 5
-						want, err := ReplayPool(context.Background(), slice, materialised)
+						// Through the planner at every shard count, so its
+						// one-plan short-circuit streams too.
+						want, err := replaySharded(context.Background(), slice, pool, replayOpts{window: 1 << 20})
 						if err != nil {
 							t.Fatalf("%s: materialised replay: %v", label, err)
 						}
-						replay := ReplayPool
-						if shards == 1 {
-							// ReplayPool sends Shards 1 straight to the
-							// unsharded replay; go through the planner so its
-							// one-plan short-circuit streams too.
-							replay = func(ctx context.Context, p []*Profile, pool PoolConfig) (*PoolResult, error) {
-								return replaySharded(ctx, p, pool, true)
-							}
-						}
-						got, err := replay(context.Background(), stream, streaming)
+						got, err := replaySharded(context.Background(), stream, pool, replayOpts{window: 5})
 						if err != nil {
 							t.Fatalf("%s: streaming replay: %v", label, err)
 						}
@@ -175,7 +165,7 @@ func TestStreamingReplayMatchesMaterialised(t *testing.T) {
 							t.Errorf("%s: streaming and materialised results diverge\nstreaming:    %s\nmaterialised: %s", label, a, b)
 						}
 						if shards == 1 {
-							oracle, err := ReplayPoolReference(context.Background(), slice, materialised)
+							oracle, err := ReplayPoolReference(context.Background(), slice, pool)
 							if err != nil {
 								t.Fatalf("%s: per-record replay: %v", label, err)
 							}
@@ -392,14 +382,15 @@ func TestStreamingArenaWindowReuse(t *testing.T) {
 		t.Skip("race instrumentation allocates on its own account")
 	}
 	profiles := streamSuite(false)
-	pool := PoolConfig{Cores: 2, Policy: PolicyLeastLag, StepWindow: 8}
+	pool := PoolConfig{Cores: 2, Policy: PolicyLeastLag}
+	tiny := replayOpts{window: 8}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if _, err := ReplayPool(context.Background(), profiles, pool); err != nil {
+	if _, err := replayMode(context.Background(), profiles, pool, tiny); err != nil {
 		t.Fatal(err)
 	}
 	const ceiling = 30.0
 	got := testing.AllocsPerRun(5, func() {
-		if _, err := ReplayPool(context.Background(), profiles, pool); err != nil {
+		if _, err := replayMode(context.Background(), profiles, pool, tiny); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -536,14 +527,12 @@ func FuzzStreamingWindows(f *testing.F) {
 		}
 		slice := []*Profile{mk(sliceTimeline(steps), arrive, depart), mk(sliceTimeline(steps), 0, 0)}
 		stream := []*Profile{mk(enc, arrive, depart), mk(enc, 0, 0)}
-		materialised := PoolConfig{Cores: 2, Policy: PolicyLeastLag, MigrationPenalty: 64, StepWindow: 1 << 16}
-		streaming := materialised
-		streaming.StepWindow = window
-		wantRes, err := ReplayPool(context.Background(), slice, materialised)
+		pool := PoolConfig{Cores: 2, Policy: PolicyLeastLag, MigrationPenalty: 64}
+		wantRes, err := replayMode(context.Background(), slice, pool, replayOpts{window: 1 << 16})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRes, err := ReplayPool(context.Background(), stream, streaming)
+		gotRes, err := replayMode(context.Background(), stream, pool, replayOpts{window: window})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,10 +29,10 @@
 // profiling recorder delta-encodes steps into fixed-size varint
 // segments (~3 B/step, validating the 32-bit width contract at the
 // capture boundary), and every replay path decodes them through a
-// bounded window of PoolConfig.StepWindow steps drawn from a recycled
-// buffer ring — so peak replay memory is O(tenants x window),
-// independent of timeline length, while any window size reproduces the
-// materialised replay byte for byte. See docs/architecture.md (From
+// bounded window of DefaultStepWindow steps drawn from a recycled buffer
+// ring — so peak replay memory is O(tenants x window), independent of
+// timeline length, while any window size reproduces the materialised
+// replay byte for byte (the tests pin other sizes). See docs/architecture.md (From
 // []step to segments and windows) and docs/performance.md (Streaming
 // bounded-window replay).
 //
@@ -58,13 +58,13 @@
 // Lifeguard cores are only fast on a tenant whose shadow working set is
 // cache-resident, so each pool core tracks a bounded per-tenant warmth
 // (half-life decay under other tenants' service;
-// PoolConfig.WarmthHalfLifeBytes) and serving a record on a cold core
+// DefaultWarmthHalfLifeBytes) and serving a record on a cold core
 // charges PoolConfig.MigrationPenalty scaled by the missing warmth. A
 // zero penalty disables the model without changing any policy's timing;
 // per-tenant migration counts and cold-serve cycles surface in
 // TenantResult and the lba-runner/v1 artifact once it is on. On churned
 // replays warmth additionally decays across a core's idle wall-clock
-// gaps (PoolConfig.WarmthIdleHalfLifeCycles) — real caches cool while a
+// gaps (DefaultWarmthIdleHalfLifeCycles) — real caches cool while a
 // core sits vacant between departures and arrivals — so only fixed-set
 // warmth is a pure function of the record-to-core assignment.
 //

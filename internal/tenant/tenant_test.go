@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -245,6 +246,42 @@ func TestInvalidPoolRejected(t *testing.T) {
 	bad := []Tenant{{Benchmark: "no-such-bench", Workload: testWorkload(), Config: core.DefaultConfig()}}
 	if _, err := eng.RunPool(context.Background(), bad, PoolConfig{Cores: 1}); err == nil {
 		t.Error("unknown benchmark must be rejected")
+	}
+}
+
+// TestPoolConfigValidate pins the one owner of the pool's shape: at
+// least one core, a shard count in 0..Cores, and a known policy, where
+// the empty policy is least-lag. Only the shape is checked; weights,
+// deadlines and penalties are policy inputs with their own defaults.
+func TestPoolConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		pool PoolConfig
+		want string // error substring; "" = valid
+	}{
+		{"one core", PoolConfig{Cores: 1}, ""},
+		{"every policy", PoolConfig{Cores: 4, Policy: PolicyAffinity}, ""},
+		{"shards 0", PoolConfig{Cores: 2, Shards: 0}, ""},
+		{"shards 1", PoolConfig{Cores: 2, Shards: 1}, ""},
+		{"one core per shard", PoolConfig{Cores: 3, Shards: 3}, ""},
+		{"policy inputs are not shape", PoolConfig{Cores: 1, Weights: []float64{-1}, DeadlineCycles: 1, MigrationPenalty: 1 << 40}, ""},
+		{"zero cores", PoolConfig{}, "pool must be >= 1 lifeguard core, got 0"},
+		{"negative cores", PoolConfig{Cores: -3}, "got -3"},
+		{"zero cores before shards", PoolConfig{Cores: 0, Shards: 2}, "lifeguard core"},
+		{"negative shards", PoolConfig{Cores: 2, Shards: -1}, "shards -1 outside 0..pool (2 cores)"},
+		{"more shards than cores", PoolConfig{Cores: 3, Shards: 8}, "shards 8 outside 0..pool (3 cores)"},
+		{"unknown policy", PoolConfig{Cores: 2, Policy: "fifo"}, `unknown scheduling policy "fifo"`},
+		{"policy names are exact", PoolConfig{Cores: 2, Policy: "Least-Lag"}, "unknown scheduling policy"},
+	} {
+		err := c.pool.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: valid pool rejected: %v", c.name, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%s: invalid pool accepted", c.name)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q does not contain %q", c.name, err, c.want)
+		}
 	}
 }
 

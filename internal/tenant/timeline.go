@@ -35,10 +35,11 @@ const (
 // the only over-allocation is the recorder's single in-progress buffer.
 const segmentSteps = 4096
 
-// DefaultStepWindow is the decoded-window size replay reads timelines
-// through when PoolConfig.StepWindow is zero: 1024 steps is 16 KiB of
-// decoded steps per live tenant, comfortably L2-resident, and large
-// enough that refill cost is noise (see docs/performance.md).
+// DefaultStepWindow is the decoded-window size every replay reads
+// timelines through: 1024 steps is 16 KiB of decoded steps per live
+// tenant, comfortably L2-resident, and large enough that refill cost is
+// noise (see docs/performance.md). Results do not depend on it; the
+// tests drive other sizes through the replay's test seam (replayOpts).
 const DefaultStepWindow = 1024
 
 // StepSource streams a timeline's steps in order. Next fills dst with as
@@ -310,8 +311,8 @@ func (c *stepCursor) close(ring *windowRing) {
 // held in the arena, across replays: retiring tenants return their
 // windows for later scratch use, and finish() returns the rest, so
 // steady-state replays allocate no window memory at all. Buffers of a
-// stale size (the pool's StepWindow changed between replays) are dropped
-// rather than reused.
+// stale size (a test replayed at another window) are dropped rather than
+// reused.
 type windowRing struct {
 	size int
 	free [][]step

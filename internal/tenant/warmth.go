@@ -2,26 +2,41 @@ package tenant
 
 import "math"
 
-// DefaultWarmthHalfLifeBytes is the shadow-cache warmth half-life assumed
-// when PoolConfig.WarmthHalfLifeBytes is zero: a tenant's warmth on a core
-// halves after the core serves 4 KiB of other tenants' log. Like
-// DefaultDeadlineCycles it is a design knob, not a derived quantity: a few
-// KiB is the scale at which one tenant's shadow working set is evicted
-// from a lifeguard core's private cache by another tenant's records.
+// DefaultWarmthHalfLifeBytes is the shadow-cache warmth half-life every
+// replay uses: a tenant's warmth on a core halves after the core serves
+// 4 KiB of other tenants' log. Like DefaultDeadlineCycles it is a design
+// constant, not a derived quantity: a few KiB is the scale at which one
+// tenant's shadow working set is evicted from a lifeguard core's private
+// cache by another tenant's records.
 const DefaultWarmthHalfLifeBytes = 4 << 10
 
 // DefaultWarmthIdleHalfLifeCycles is the wall-clock warmth half-life
-// assumed when PoolConfig.WarmthIdleHalfLifeCycles is zero: every
-// tenant's warmth on a core halves across 32Ki cycles the core sits idle.
-// Idle decay only applies to churned replays (see warmthModel.idleDecay);
-// like the byte half-life it is a design knob — the scale at which OS and
-// sibling-workload activity evicts an unserved shadow working set.
+// every replay uses: every tenant's warmth on a core halves across 32Ki
+// cycles the core sits idle. Idle decay only applies to churned replays
+// (see warmthModel.idleDecay); like the byte half-life it is a design
+// constant — the scale at which OS and sibling-workload activity evicts
+// an unserved shadow working set.
 const DefaultWarmthIdleHalfLifeCycles = 32 << 10
 
-// factorCacheBits bounds the memoized gain/decay factor table. Records are
-// at most a few hundred compressed bits, so in practice every serve hits
-// the table; larger sizes fall back to computing the factor directly.
+// factorCacheBits bounds the precomputed gain/decay factor table. Records
+// are at most a few hundred compressed bits, so in practice every serve
+// hits the table; larger sizes fall back to computing the factor directly.
 const factorCacheBits = 4096
+
+// defaultFactors is the factor table at DefaultWarmthHalfLifeBytes,
+// shared read-only by every replay. It is a package-level array, so it
+// lives in the binary's data segment, not on the heap.
+var defaultFactors = factorTable(DefaultWarmthHalfLifeBytes)
+
+// factorTable computes the gain/decay factor f = 1 - 2^(-bits/(8*halfLife))
+// for every record size below factorCacheBits. math.Exp2 is deterministic,
+// so a table entry is bit-identical to computing the factor on the spot.
+func factorTable(halfLife float64) (t [factorCacheBits]float64) {
+	for bits := range t {
+		t[bits] = 1 - math.Exp2(-float64(bits)/(8*halfLife))
+	}
+	return t
+}
 
 // warmthModel tracks per-core, per-tenant shadow-cache warmth for one
 // replay. A lifeguard core is only fast on a tenant whose shadow-memory
@@ -56,41 +71,33 @@ const factorCacheBits = 4096
 // hot path: warmth lives in one flat row-major [core*stride+tenant] slice
 // (one allocation, cache-friendly row walks), and the 2^(-b/H) factor —
 // a transcendental that profiling showed dominating the whole replay — is
-// memoized per record size in factors. math.Exp2 is deterministic, so the
-// cached factor is bit-identical to recomputing it and results cannot
-// change; reset lets a replay arena reuse the slices run over run.
+// precomputed per record size in defaultFactors. math.Exp2 is
+// deterministic, so a table entry is bit-identical to recomputing it and
+// results cannot change; reset lets a replay arena reuse the slices run
+// over run.
 type warmthModel struct {
-	halfLife     float64   // bytes of foreign service that halve a warmth
-	idleHalfLife float64   // idle cycles that halve a warmth (churned replays)
-	warm         []float64 // row-major [core*stride + tenant] warmth in [0, 1]
-	stride       int       // tenants per row
-	factors      []float64 // memoized gain/decay factor by record bits; 0 = unset
-	lastCore     []int     // [tenant] core that served the tenant last, -1 if none
-	lastTen      []int     // [core] tenant served most recently, -1 if none
+	halfLife     float64                   // bytes of foreign service that halve a warmth
+	idleHalfLife float64                   // idle cycles that halve a warmth (churned replays)
+	factors      *[factorCacheBits]float64 // gain/decay factor by record bits, at halfLife
+	warm         []float64                 // row-major [core*stride + tenant] warmth in [0, 1]
+	stride       int                       // tenants per row
+	lastCore     []int                     // [tenant] core that served the tenant last, -1 if none
+	lastTen      []int                     // [core] tenant served most recently, -1 if none
 }
 
-func newWarmthModel(cores, tenants int, halfLifeBytes, idleHalfLifeCycles uint64) *warmthModel {
+func newWarmthModel(cores, tenants int) *warmthModel {
 	m := &warmthModel{}
-	m.reset(cores, tenants, halfLifeBytes, idleHalfLifeCycles)
+	m.reset(cores, tenants)
 	return m
 }
 
-// reset re-dimensions the model for a replay of cores x tenants and clears
-// every warmth, reusing the backing slices when they are large enough. The
-// factor cache survives only when the half-life is unchanged (the factor
-// depends on it).
-func (m *warmthModel) reset(cores, tenants int, halfLifeBytes, idleHalfLifeCycles uint64) {
-	if halfLifeBytes == 0 {
-		halfLifeBytes = DefaultWarmthHalfLifeBytes
-	}
-	if idleHalfLifeCycles == 0 {
-		idleHalfLifeCycles = DefaultWarmthIdleHalfLifeCycles
-	}
-	if h := float64(halfLifeBytes); h != m.halfLife {
-		m.halfLife = h
-		m.factors = nil
-	}
-	m.idleHalfLife = float64(idleHalfLifeCycles)
+// reset re-dimensions the model for a replay of cores x tenants at the
+// default half-lives and clears every warmth, reusing the backing slices
+// when they are large enough.
+func (m *warmthModel) reset(cores, tenants int) {
+	m.halfLife = DefaultWarmthHalfLifeBytes
+	m.idleHalfLife = DefaultWarmthIdleHalfLifeCycles
+	m.factors = &defaultFactors
 	m.stride = tenants
 	m.warm = resetFloats(m.warm, cores*tenants)
 	m.lastCore = resetInts(m.lastCore, tenants, -1)
@@ -124,19 +131,25 @@ func resetInts(s []int, n, v int) []int {
 	return s
 }
 
+// setHalfLives replaces the default half-lives with the non-zero ones
+// given: the replay's test seam (replayOpts) for short-lived warmth.
+// Production replays pass zeros, which change nothing.
+func (m *warmthModel) setHalfLives(halfLifeBytes, idleHalfLifeCycles uint64) {
+	if halfLifeBytes > 0 {
+		m.halfLife = float64(halfLifeBytes)
+		t := factorTable(m.halfLife)
+		m.factors = &t
+	}
+	if idleHalfLifeCycles > 0 {
+		m.idleHalfLife = float64(idleHalfLifeCycles)
+	}
+}
+
 // factor returns the gain/decay factor f = 1 - 2^(-bits/(8*halfLife)),
-// memoized by record size.
+// from the table for every record size it covers.
 func (m *warmthModel) factor(bits uint64) float64 {
 	if bits < factorCacheBits {
-		if m.factors == nil {
-			m.factors = make([]float64, factorCacheBits)
-		}
-		if f := m.factors[bits]; f != 0 {
-			return f
-		}
-		f := 1 - math.Exp2(-float64(bits)/(8*m.halfLife))
-		m.factors[bits] = f
-		return f
+		return m.factors[bits]
 	}
 	return 1 - math.Exp2(-float64(bits)/(8*m.halfLife))
 }

@@ -73,7 +73,8 @@ func TestPropertyWarmthConservation(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		rng := rand.New(rand.NewSource(seed))
 		cores, tenants := 1+rng.Intn(4), 1+rng.Intn(5)
-		m := newWarmthModel(cores, tenants, 512, 0)
+		m := newWarmthModel(cores, tenants)
+		m.setHalfLives(512, 0)
 		lastCore := make([]int, tenants)
 		for i := range lastCore {
 			lastCore[i] = -1
@@ -111,7 +112,8 @@ func TestPropertyWarmthConservation(t *testing.T) {
 // tenant itself moves it halfway to 1.
 func TestWarmthHalfLife(t *testing.T) {
 	const half = 1024
-	m := newWarmthModel(1, 2, half, 0)
+	m := newWarmthModel(1, 2)
+	m.setHalfLives(half, 0)
 	// Tenant 0 serves one half-life of bytes: warmth 0 -> 0.5 exactly.
 	m.serve(0, 0, half*8)
 	if w := m.warmth(0, 0); w != 0.5 {
@@ -132,8 +134,8 @@ func TestWarmthHalfLife(t *testing.T) {
 	if w := m.warmth(0, 0); w <= 0.99 || w > 1 {
 		t.Fatalf("warmth after sustained service = %g, want in (0.99, 1]", w)
 	}
-	// The zero half-life config falls back to the default.
-	d := newWarmthModel(1, 1, 0, 0)
+	// A fresh model runs at the default half-life.
+	d := newWarmthModel(1, 1)
 	d.serve(0, 0, DefaultWarmthHalfLifeBytes*8)
 	if w := d.warmth(0, 0); w != 0.5 {
 		t.Fatalf("default half-life: warmth = %g, want 0.5", w)
@@ -198,9 +200,7 @@ func TestInvariantZeroPenaltyCellSchema(t *testing.T) {
 		return burstTimeline(r, 5, 20, 2000, 5, 20, 5, 20)
 	})
 	for _, policy := range Policies() {
-		// An explicit half-life with penalty 0 must not leak either: the
-		// knob only shapes results once migrations are priced.
-		res, err := ReplayPool(context.Background(), profiles, PoolConfig{Cores: 2, Policy: policy, WarmthHalfLifeBytes: 256})
+		res, err := ReplayPool(context.Background(), profiles, PoolConfig{Cores: 2, Policy: policy})
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}
@@ -208,7 +208,7 @@ func TestInvariantZeroPenaltyCellSchema(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, field := range []string{"migration_penalty", "warmth_half_life_bytes", "migrations", "cold_serve_cycles"} {
+		for _, field := range []string{"migration_penalty", "migrations", "cold_serve_cycles"} {
 			if strings.Contains(string(blob), `"`+field+`"`) {
 				t.Errorf("%s: zero-penalty cell JSON leaks %q:\n%.300s", policy, field, blob)
 			}
@@ -232,7 +232,7 @@ func TestInvariantZeroPenaltyCellSchema(t *testing.T) {
 // half-life exactly halves the whole row, zero idle is a no-op, relative
 // order within the row is preserved, and other cores are untouched.
 func TestWarmthIdleDecay(t *testing.T) {
-	m := newWarmthModel(2, 3, 0, 0)
+	m := newWarmthModel(2, 3)
 	m.serve(0, 0, 4096)
 	m.serve(0, 1, 2048)
 	m.serve(1, 2, 4096)
@@ -256,23 +256,22 @@ func TestWarmthIdleDecay(t *testing.T) {
 }
 
 // TestWarmthIdleDecayReplayGating pins the bugfix's replay-level gate:
-// fixed-set replays never invoke idle decay — the half-life knob cannot
+// fixed-set replays never invoke idle decay — the idle half-life cannot
 // change a single byte of them — while churned replays do, so the same
-// knob must move their warmth/migration accounting (pre-fix, warmth froze
-// across vacancies and the knob was unobservable everywhere).
+// half-life must move their warmth/migration accounting (pre-fix, warmth
+// froze across vacancies and the half-life was unobservable everywhere).
 func TestWarmthIdleDecayReplayGating(t *testing.T) {
 	// 4 cores over 4 staggered tenants leave idle gaps on served cores;
 	// at 2 cores affinity packs work densely enough that no gap surfaces.
 	pool := PoolConfig{Cores: 4, Policy: PolicyAffinity, MigrationPenalty: 320}
-	slow := pool
-	slow.WarmthIdleHalfLifeCycles = 1 << 40 // effectively no idle decay
+	slow := replayOpts{idleHalfLifeCycles: 1 << 40} // effectively no idle decay
 
 	fixed := dispatchSuiteProfiles(t, 4, Churn{})
 	a, err := ReplayPool(context.Background(), fixed, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReplayPool(context.Background(), fixed, slow)
+	b, err := replayMode(context.Background(), fixed, pool, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +284,11 @@ func TestWarmthIdleDecayReplayGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := ReplayPool(context.Background(), churned, slow)
+	d, err := replayMode(context.Background(), churned, pool, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reflect.DeepEqual(c, d) {
-		t.Error("churned replay ignored the idle half-life knob; vacancies no longer decay warmth")
+		t.Error("churned replay ignored the idle half-life; vacancies no longer decay warmth")
 	}
 }
