@@ -22,7 +22,7 @@ race:
 	$(GO) test -race -count=1 ./internal/tenant/...
 	$(GO) test -race -count=1 ./internal/serve
 	$(GO) test -race -count=10 -run 'Cancel|Admission' ./internal/tenant ./internal/serve
-	$(GO) test -race -count=1 -run 'TestSched|TestReplayInvariants|TestPlanAdmission|TestWFQ|TestPriority|TestDeadline|TestAffinity|TestChurn|TestPropertyBisection|TestApplyChurn|TestPeakConcurrency|TestSharded|TestShardPlan|TestStreaming|TestTimelineRoundTrip|TestStepCursorWindows|TestWindowRingRecycle|TestRecorderWidthContract' ./internal/tenant
+	$(GO) test -race -count=1 -run 'TestSched|TestReplayInvariants|TestPlanAdmission|TestWFQ|TestPriority|TestDeadline|TestAffinity|TestChurn|TestPropertyBisection|TestApplyChurn|TestPeakConcurrency|TestSharded|TestShardPlan|TestStreaming|TestTimelineRoundTrip|TestStepCursorWindows|TestWindowRingRecycle|TestRecorderWidthContract|FuzzSegmentCodec|TestRetireShortcutMatchesWalk' ./internal/tenant
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/vpc
@@ -31,6 +31,8 @@ fuzz:
 	$(GO) test -run '^FuzzReplayInvariants$$' ./internal/tenant
 	$(GO) test -run '^TestChurnCorpusSeeds$$' ./internal/tenant
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayInvariants$$' -fuzztime 10s ./internal/tenant
+	$(GO) test -run '^FuzzSegmentCodec$$' ./internal/tenant
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentCodec$$' -fuzztime 10s ./internal/tenant
 
 docs:
 	@diff=$$(gofmt -l examples internal/tenant/example_test.go); \

@@ -36,7 +36,11 @@ const (
 	benchPenalty      = 320
 	// benchReps replays each cell this many times and keeps the fastest —
 	// the standard guard against scheduler noise on a shared CI runner.
-	benchReps = 3
+	// The reps run in rounds over every cell (measureCells), so a burst
+	// of host noise costs each cell one rep instead of a whole cell its
+	// best. At 3 reps of one cell in a row, two runs of one binary read
+	// the streaming row at 23.7 and 15.0 Mrec/s on a 2-vCPU VM.
+	benchReps = 15
 )
 
 // The sharded section scales the pinned cell up — twice the tenants on a
@@ -170,52 +174,66 @@ func (s *session) benchReplay(jsonPath, diffSchemaPath string) error {
 	if err != nil {
 		return err
 	}
-	rep := benchReport{
-		Schema: benchReplaySchema,
-		Suite: benchSuiteDesc{Tenants: benchTenants, Scale: benchScale, Cores: benchCores,
-			MigrationPenalty: benchPenalty, Reps: benchReps},
-	}
-	var batchedTotal time.Duration
-	for _, policy := range tenant.Policies() {
-		pool := tenant.PoolConfig{Cores: benchCores, Policy: policy, MigrationPenalty: benchPenalty}
-		batched, records, err := measureReplay(profiles, pool)
-		if err != nil {
-			return err
-		}
-		rep.Suite.RecordsPerReplay = records
-		batchedTotal += time.Duration(batched.NsPerReplay)
-		rep.Policies = append(rep.Policies, benchPolicyRow{Policy: policy, Batched: batched})
-	}
-	totalRecords := float64(rep.Suite.RecordsPerReplay) * float64(len(rep.Policies))
-	rep.Headline = benchHeadline{BatchedRecordsPerSec: totalRecords / batchedTotal.Seconds()}
-
 	shardProfiles, err := benchProfiles(benchShardTenants)
 	if err != nil {
 		return err
 	}
-	rep.Sharded = benchShardedSection{
-		Tenants: benchShardTenants, Scale: benchScale, Cores: benchShardCores,
-		MigrationPenalty: benchPenalty, Policy: benchShardPolicy, Reps: benchReps,
+	streamProfiles, err := streamingProfiles()
+	if err != nil {
+		return err
+	}
+	rep := benchReport{
+		Schema: benchReplaySchema,
+		Suite: benchSuiteDesc{Tenants: benchTenants, Scale: benchScale, Cores: benchCores,
+			MigrationPenalty: benchPenalty, Reps: benchReps},
+		Sharded: benchShardedSection{
+			Tenants: benchShardTenants, Scale: benchScale, Cores: benchShardCores,
+			MigrationPenalty: benchPenalty, Policy: benchShardPolicy, Reps: benchReps,
+		},
+	}
+	streamCell := &benchCell{profiles: streamProfiles,
+		pool: tenant.PoolConfig{Cores: benchStreamCores, Policy: tenant.PolicyLeastLag}}
+	// The streaming heap is read cold, before any timed replay.
+	rep.Streaming, err = measureStreamingHeap(profiles, streamCell)
+	if err != nil {
+		return err
+	}
+
+	var policyCells, shardCells []*benchCell
+	for _, policy := range tenant.Policies() {
+		policyCells = append(policyCells, &benchCell{profiles: profiles,
+			pool: tenant.PoolConfig{Cores: benchCores, Policy: policy, MigrationPenalty: benchPenalty}})
 	}
 	for _, shards := range benchShardCounts {
-		pool := tenant.PoolConfig{Cores: benchShardCores, Policy: benchShardPolicy,
-			MigrationPenalty: benchPenalty, Shards: shards}
-		stats, records, err := measureReplay(shardProfiles, pool)
-		if err != nil {
-			return err
-		}
-		rep.Sharded.RecordsPerReplay = records
-		row := benchShardRow{Shards: shards, Stats: stats, SpeedupX: 1}
+		shardCells = append(shardCells, &benchCell{profiles: shardProfiles,
+			pool: tenant.PoolConfig{Cores: benchShardCores, Policy: benchShardPolicy,
+				MigrationPenalty: benchPenalty, Shards: shards}})
+	}
+	cells := append(append(append([]*benchCell{}, policyCells...), shardCells...), streamCell)
+	if err := measureCells(cells); err != nil {
+		return err
+	}
+
+	var batchedTotal time.Duration
+	for i, c := range policyCells {
+		rep.Suite.RecordsPerReplay = c.records
+		batchedTotal += c.best
+		rep.Policies = append(rep.Policies, benchPolicyRow{Policy: tenant.Policies()[i], Batched: c.stats()})
+	}
+	totalRecords := float64(rep.Suite.RecordsPerReplay) * float64(len(rep.Policies))
+	rep.Headline = benchHeadline{BatchedRecordsPerSec: totalRecords / batchedTotal.Seconds()}
+
+	for i, c := range shardCells {
+		rep.Sharded.RecordsPerReplay = c.records
+		row := benchShardRow{Shards: benchShardCounts[i], Stats: c.stats(), SpeedupX: 1}
 		if len(rep.Sharded.Rows) > 0 {
-			row.SpeedupX = stats.RecordsPerSec / rep.Sharded.Rows[0].Stats.RecordsPerSec
+			row.SpeedupX = row.Stats.RecordsPerSec / rep.Sharded.Rows[0].Stats.RecordsPerSec
 		}
 		rep.Sharded.Rows = append(rep.Sharded.Rows, row)
 	}
 
-	rep.Streaming, err = measureStreaming(profiles)
-	if err != nil {
-		return err
-	}
+	rep.Streaming.Rows[0].NsPerReplay = float64(streamCell.best.Nanoseconds())
+	rep.Streaming.Rows[0].RecordsPerSec = float64(streamCell.records) / streamCell.best.Seconds()
 
 	fmt.Fprintf(s.out, "Replay benchmark: %d tenants, %d cores, %d records/replay, best of %d\n",
 		benchTenants, benchCores, rep.Suite.RecordsPerReplay, benchReps)
@@ -273,14 +291,35 @@ func (s *session) benchReplay(jsonPath, diffSchemaPath string) error {
 	return nil
 }
 
-// measureStreaming builds the streaming section: a pair of generator-
-// backed synthetic tenants replayed through the default window. The
-// heap figure is measured cold — a GC first empties the arena sync.Pool,
-// then the collector is paused so the replay's live growth (arena +
-// window ring + result) is read deterministically; the throughput reps
-// then run warm, like every other cell. suite supplies the measured
+// streamingProfiles builds the streaming section's tenants: a pair of
+// generator-backed synthetic timelines replayed through the default
+// window.
+func streamingProfiles() ([]*tenant.Profile, error) {
+	profiles := make([]*tenant.Profile, benchStreamTenants)
+	for i := range profiles {
+		phase := uint64(i) * 17
+		gen := func(k int) tenant.SyntheticStep {
+			if k%4096 == 4095 {
+				return tenant.SyntheticStep{Cycle: uint64(k)*40 + phase, Drain: true}
+			}
+			return tenant.SyntheticStep{Cycle: uint64(k)*40 + phase, Bits: 64 + uint64(k%61), Cost: 18 + uint64(k%7)}
+		}
+		p, err := tenant.NewSyntheticProfile(fmt.Sprintf("stream-%d", i), benchStreamSteps, 5000, gen)
+		if err != nil {
+			return nil, err
+		}
+		profiles[i] = p
+	}
+	return profiles, nil
+}
+
+// measureStreamingHeap builds the streaming section from its cell, all
+// but the timing, which measureCells fills in. The heap figure is
+// measured cold — a GC first empties the arena sync.Pool, then the
+// collector is paused so the replay's live growth (arena + window ring +
+// result) is read deterministically. suite supplies the measured
 // encoding density of real profiled timelines.
-func measureStreaming(suite []*tenant.Profile) (benchStreamingSection, error) {
+func measureStreamingHeap(suite []*tenant.Profile, cell *benchCell) (benchStreamingSection, error) {
 	sec := benchStreamingSection{
 		Steps: benchStreamSteps, Tenants: benchStreamTenants,
 		Cores: benchStreamCores, Reps: benchReps,
@@ -293,24 +332,6 @@ func measureStreaming(suite []*tenant.Profile) (benchStreamingSection, error) {
 		sec.EncodedBytesPerStep = float64(sec.SuiteEncodedBytes) / float64(sec.SuiteSteps)
 	}
 
-	profiles := make([]*tenant.Profile, benchStreamTenants)
-	for i := range profiles {
-		phase := uint64(i) * 17
-		gen := func(k int) tenant.SyntheticStep {
-			if k%4096 == 4095 {
-				return tenant.SyntheticStep{Cycle: uint64(k)*40 + phase, Drain: true}
-			}
-			return tenant.SyntheticStep{Cycle: uint64(k)*40 + phase, Bits: 64 + uint64(k%61), Cost: 18 + uint64(k%7)}
-		}
-		p, err := tenant.NewSyntheticProfile(fmt.Sprintf("stream-%d", i), benchStreamSteps, 5000, gen)
-		if err != nil {
-			return sec, err
-		}
-		profiles[i] = p
-	}
-
-	pool := tenant.PoolConfig{Cores: benchStreamCores, Policy: tenant.PolicyLeastLag}
-
 	// Empty the arena pool so the replay is measured cold: the first
 	// collection only moves pooled arenas to the victim cache, which a
 	// later Get may or may not reach depending on the P it runs on.
@@ -319,31 +340,14 @@ func measureStreaming(suite []*tenant.Profile) (benchStreamingSection, error) {
 	gcPct := debug.SetGCPercent(-1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := tenant.ReplayPool(context.Background(), profiles, pool)
+	_, err := tenant.ReplayPool(context.Background(), cell.profiles, cell.pool)
 	runtime.ReadMemStats(&after)
 	debug.SetGCPercent(gcPct)
 	if err != nil {
 		return sec, err
 	}
-	var records uint64
-	for _, tr := range res.Tenants {
-		records += tr.Records
-	}
-
-	var best time.Duration
-	for r := 0; r < benchReps; r++ {
-		start := time.Now()
-		if _, err := tenant.ReplayPool(context.Background(), profiles, pool); err != nil {
-			return sec, err
-		}
-		if d := time.Since(start); r == 0 || d < best {
-			best = d
-		}
-	}
 	sec.Rows = []benchStreamRow{{
 		WindowSteps:   tenant.DefaultStepWindow,
-		NsPerReplay:   float64(best.Nanoseconds()),
-		RecordsPerSec: float64(records) / best.Seconds(),
 		PeakHeapBytes: after.HeapAlloc - before.HeapAlloc,
 	}}
 	return sec, nil
@@ -425,42 +429,62 @@ func benchProfiles(n int) ([]*tenant.Profile, error) {
 	return profiles, nil
 }
 
-// measureReplay times one pool cell through tenant.ReplayPool (sharded
-// when the pool asks for shards): an untimed warm-up replay (fills the
-// arena pool and factor memo, and supplies the record count), then
-// benchReps timed replays keeping the fastest. Allocation
-// figures are runtime.MemStats deltas over the timed replays, averaged —
-// the command-line analogue of testing.B's ReportAllocs.
-func measureReplay(profiles []*tenant.Profile, pool tenant.PoolConfig) (benchDispatchStats, uint64, error) {
-	res, err := tenant.ReplayPool(context.Background(), profiles, pool)
-	if err != nil {
-		return benchDispatchStats{}, 0, err
-	}
-	var records uint64
-	for _, tr := range res.Tenants {
-		records += tr.Records
-	}
+// benchCell is one timed pool cell of the report: its inputs, and what
+// measureCells measured of them.
+type benchCell struct {
+	profiles []*tenant.Profile
+	pool     tenant.PoolConfig
 
+	records         uint64        // records one replay serves
+	best            time.Duration // fastest timed replay
+	mallocs, bytesN uint64        // heap allocations over the timed replays
+}
+
+// measureCells times every cell through tenant.ReplayPool (sharded when
+// the pool asks for shards): an untimed warm-up replay per cell (fills
+// the arena pool and factor memo, and supplies the record count), then
+// benchReps rounds, each replaying every cell once, keeping each cell's
+// fastest replay. Allocation figures are runtime.MemStats deltas around
+// each timed replay, averaged — the command-line analogue of
+// testing.B's ReportAllocs.
+func measureCells(cells []*benchCell) error {
+	for _, c := range cells {
+		res, err := tenant.ReplayPool(context.Background(), c.profiles, c.pool)
+		if err != nil {
+			return err
+		}
+		for _, tr := range res.Tenants {
+			c.records += tr.Records
+		}
+	}
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	var best time.Duration
 	for rep := 0; rep < benchReps; rep++ {
-		start := time.Now()
-		if _, err := tenant.ReplayPool(context.Background(), profiles, pool); err != nil {
-			return benchDispatchStats{}, 0, err
-		}
-		if d := time.Since(start); rep == 0 || d < best {
-			best = d
+		for _, c := range cells {
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			if _, err := tenant.ReplayPool(context.Background(), c.profiles, c.pool); err != nil {
+				return err
+			}
+			d := time.Since(start)
+			runtime.ReadMemStats(&after)
+			if rep == 0 || d < c.best {
+				c.best = d
+			}
+			c.mallocs += after.Mallocs - before.Mallocs
+			c.bytesN += after.TotalAlloc - before.TotalAlloc
 		}
 	}
-	runtime.ReadMemStats(&after)
+	return nil
+}
 
-	ns := float64(best.Nanoseconds())
+// stats reports the cell's measurement in the report's stat fields.
+func (c *benchCell) stats() benchDispatchStats {
+	ns := float64(c.best.Nanoseconds())
 	return benchDispatchStats{
 		NsPerReplay:     ns,
-		NsPerRecord:     ns / float64(records),
-		RecordsPerSec:   float64(records) / best.Seconds(),
-		AllocsPerReplay: float64(after.Mallocs-before.Mallocs) / benchReps,
-		BytesPerReplay:  float64(after.TotalAlloc-before.TotalAlloc) / benchReps,
-	}, records, nil
+		NsPerRecord:     ns / float64(c.records),
+		RecordsPerSec:   float64(c.records) / c.best.Seconds(),
+		AllocsPerReplay: float64(c.mallocs) / benchReps,
+		BytesPerReplay:  float64(c.bytesN) / benchReps,
+	}
 }

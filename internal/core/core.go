@@ -293,7 +293,8 @@ func RunLBA(p *prog.Program, lifeguardName string, cfg Config) (*Result, error) 
 		meters[i] = &dispatch.CoreMeter{Port: hier.Port(1 + i)}
 		engines[i] = dispatch.New(cfg.Dispatch, meters[i])
 		engines[i].Attach(lg)
-		channels[i] = logbuf.New(cfg.Channel)
+		channels[i] = logbuf.Get(cfg.Channel)
+		defer logbuf.Put(channels[i])
 	}
 
 	le := newLogEncoder(&cfg)

@@ -29,6 +29,8 @@
 // See docs/performance.md for measured costs.
 package logbuf
 
+import "sync"
+
 // Config sizes the transport.
 type Config struct {
 	// CapacityBytes is the log buffer size. The paper's design places the
@@ -122,6 +124,25 @@ func New(cfg Config) *Channel {
 	ch.Reset(cfg)
 	return ch
 }
+
+// channels holds released channels, ring included, for runs that each
+// need one channel for their whole length (core.RunLBA, a tenant's
+// dedicated-core walk): without it every run regrows a ring from 1024
+// entries, to about 2 MB for a profiled suite tenant. The pool empties
+// itself over two collections, so idle rings do not stay on the heap.
+var channels = sync.Pool{New: func() any { return New(Config{}) }}
+
+// Get returns a channel reset to cfg, reusing a released channel's ring
+// when the pool holds one. A reset channel is observationally identical
+// to a fresh one (Reset), so Get can change only allocation counts.
+func Get(cfg Config) *Channel {
+	ch := channels.Get().(*Channel)
+	ch.Reset(cfg)
+	return ch
+}
+
+// Put releases ch for a later Get. The caller must not use ch again.
+func Put(ch *Channel) { channels.Put(ch) }
 
 // Reset returns the channel to its initial state under cfg (normalised per
 // Config.Normalised), retaining the allocated ring. It is the buffer-reuse

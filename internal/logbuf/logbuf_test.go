@@ -322,29 +322,49 @@ func TestProduceAtFloorDelaysConsumption(t *testing.T) {
 }
 
 // TestResetEquivalentToFresh pins the buffer-reuse contract the tenant
-// replay's arena depends on: a channel that has been driven hard (ring
-// growth, backpressure, drains) and then Reset must be observationally
+// replay's arena and the channel pool depend on: a channel that has been
+// driven hard (ring growth, backpressure, drains) and then Reset, or
+// released and taken back through Put/Get, must be observationally
 // identical to a freshly constructed one — same stalls, same finish
 // times, same stats — under a new configuration. Reuse can only change
 // allocation counts, never results.
 func TestResetEquivalentToFresh(t *testing.T) {
-	reused := New(smallConfig())
+	cfg := Config{CapacityBytes: 128, TransportLatency: 25}
+	for _, c := range []struct {
+		name  string
+		reuse func(*Channel) *Channel
+	}{
+		{"Reset", func(ch *Channel) *Channel { ch.Reset(cfg); return ch }},
+		{"Get", func(ch *Channel) *Channel { Put(ch); return Get(cfg) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			checkReuseEquivalentToFresh(t, c.reuse, cfg)
+		})
+	}
+}
+
+func checkReuseEquivalentToFresh(t *testing.T, reuse func(*Channel) *Channel, cfg Config) {
+	dirty := New(smallConfig())
 	// Drive the first life hard enough to grow the ring and hit every
 	// stats counter.
 	var app uint64
 	for i := 0; i < 2000; i++ {
 		app += 3
-		app += reused.Produce(app, 64, 7)
+		app += dirty.Produce(app, 64, 7)
 		if i%97 == 0 {
-			app += reused.Drain(app)
+			app += dirty.Drain(app)
 		}
 	}
-	if reused.Stats().StallEvents == 0 {
+	if dirty.Stats().StallEvents == 0 {
 		t.Fatal("first life never stalled; the reset test needs a dirty channel")
 	}
 
-	cfg := Config{CapacityBytes: 128, TransportLatency: 25}
-	reused.Reset(cfg)
+	reused := reuse(dirty)
+	if reused != dirty {
+		// sync.Pool may drop a released value (the race detector does so
+		// at random); the comparison below then holds trivially.
+		t.Log("the pool did not hand the released channel back")
+	}
 	fresh := New(cfg)
 	if reused.Config() != fresh.Config() {
 		t.Fatalf("reset config %+v != fresh config %+v", reused.Config(), fresh.Config())

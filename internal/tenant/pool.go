@@ -415,8 +415,7 @@ type replayArena struct {
 	agenda   []int
 	channels []*logbuf.Channel
 	warmth   warmthModel
-	scratch  *logbuf.Channel // retire()'s dedicated-core replays
-	ring     windowRing      // decoded-step window buffers, recycled across replays
+	ring     windowRing // decoded-step window buffers, recycled across replays
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(replayArena) }}
@@ -660,7 +659,10 @@ func (r *replayer) flipArrivals(now uint64) bool {
 // (waits for the channel's in-flight records), then releases the channel
 // and its shadow-cache warmth. The dedicated-core wall of the same
 // truncated window is computed here so the contention factor of a
-// departed tenant compares like against like.
+// departed tenant compares like against like. A window that covers the
+// whole app span (every lbad drain-then-release eviction) truncates
+// nothing, since no step lies past AppCycles, so that wall is the
+// profile's DedicatedWall and is not walked again.
 func (r *replayer) retire(ti int) {
 	ts := &r.states[ti]
 	if ts.released || ts.depart == 0 || !ts.done() {
@@ -668,24 +670,22 @@ func (r *replayer) retire(ti int) {
 	}
 	ts.appFinal = ts.arrive + ts.activeApp() + ts.offset
 	ts.releaseWall = ts.ch.Finish(ts.appFinal)
-	// Replay the truncated window on a dedicated channel through a fresh
-	// cursor over the same encoded timeline (the cursor's churn truncation
-	// is exactly the prefix the merge just exhausted), drawing the scratch
-	// window from the ring and recycling both it and the retired tenant's
-	// own window — departures free their decoded state for later arrivals.
-	var cur stepCursor
-	cur.open(ts.prof.tl, r.ring.get(), ts.arrive, ts.depart)
-	if a := r.arena; a != nil {
-		if a.scratch == nil {
-			a.scratch = logbuf.New(ts.ch.Config())
-		} else {
-			a.scratch.Reset(ts.ch.Config())
-		}
-		ts.dedicated = dedicatedWallOn(a.scratch, &cur, ts.activeApp(), r.done)
+	if ts.depart-ts.arrive >= ts.prof.Result.AppCycles {
+		ts.dedicated = ts.prof.DedicatedWall
 	} else {
-		ts.dedicated = dedicatedWallOn(logbuf.New(ts.ch.Config()), &cur, ts.activeApp(), r.done)
+		// Replay the truncated window on a dedicated channel through a
+		// fresh cursor over the same encoded timeline (the cursor's churn
+		// truncation is exactly the prefix the merge just exhausted),
+		// drawing the scratch window from the ring and recycling both it
+		// and the retired tenant's own window — departures free their
+		// decoded state for later arrivals.
+		var cur stepCursor
+		cur.open(ts.prof.tl, r.ring.get(), ts.arrive, ts.depart)
+		ch := logbuf.Get(ts.ch.Config())
+		ts.dedicated = dedicatedWallOn(ch, &cur, ts.activeApp(), r.done)
+		logbuf.Put(ch)
+		cur.close(r.ring)
 	}
-	cur.close(r.ring)
 	ts.cur.close(r.ring)
 	ts.released = true
 	r.views[ti].Absent = true

@@ -186,15 +186,18 @@ func NewSyntheticProfile(name string, n int, pad uint64, gen func(i int) Synthet
 func dedicatedWall(tl Timeline, cfg logbuf.Config, appCycles uint64) uint64 {
 	var cur stepCursor
 	cur.open(tl, make([]step, DefaultStepWindow), 0, 0)
-	return dedicatedWallOn(logbuf.New(cfg), &cur, appCycles, nil)
+	ch := logbuf.Get(cfg)
+	defer logbuf.Put(ch)
+	return dedicatedWallOn(ch, &cur, appCycles, nil)
 }
 
 // dedicatedWallOn is dedicatedWall against a caller-supplied channel and
-// cursor, already configured (or Reset/opened) for the tenant. The replay
-// arena uses it so mid-replay retirements allocate neither a channel nor
-// a window per departure; the cursor's churn truncation is what replays a
-// departed tenant's window exactly (raw step cycles — arrive shifts only
-// the truncation point, not the dedicated clock). A non-nil done channel
+// cursor, already configured (or Reset/opened) for the tenant.
+// Retirement uses it with a pooled channel and a window from the replay's
+// ring, so mid-replay departures allocate neither; the cursor's churn
+// truncation is what replays a departed tenant's window exactly (raw step
+// cycles — arrive shifts only the truncation point, not the dedicated
+// clock). A non-nil done channel
 // makes the walk abort at the next decode-window refill once it fires;
 // the returned wall is then partial and MUST be discarded — replayMode
 // re-checks the context before assembling any result, so a cancelled

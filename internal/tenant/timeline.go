@@ -69,7 +69,10 @@ type Timeline interface {
 // step. Cycle deltas chain across segments (segment N's first delta is
 // relative to segment N-1's last cycle); a step never straddles a segment
 // boundary. Typical profiled timelines encode to ~3 bytes/step against 16
-// for the materialised form.
+// for the materialised form, and most steps are all single-byte varints:
+// the encoder writes and the decoder reads such a byte directly, falling
+// back to encoding/binary only for a value of 0x80 or more. Both forms
+// produce and accept exactly the same bytes.
 type segTimeline struct {
 	segs [][]byte
 	n    int
@@ -98,6 +101,13 @@ type segSource struct {
 	prev uint64 // last decoded cycle (delta base)
 }
 
+// Panic messages of a corrupt or truncated segment, one per field.
+const (
+	corruptDelta = "tenant: corrupt step segment (cycle delta)"
+	corruptCode  = "tenant: corrupt step segment (bits code)"
+	corruptCost  = "tenant: corrupt step segment (cost)"
+)
+
 func (s *segSource) Next(dst []step) int {
 	k := 0
 	for k < len(dst) {
@@ -108,32 +118,45 @@ func (s *segSource) Next(dst []step) int {
 		if s.si >= len(s.segs) {
 			break
 		}
-		seg := s.segs[s.si]
-		delta, w := binary.Uvarint(seg[s.off:])
-		if w <= 0 {
-			panic("tenant: corrupt step segment (cycle delta)")
-		}
-		s.off += w
-		s.prev += delta
-		code, w2 := binary.Uvarint(seg[s.off:])
-		if w2 <= 0 {
-			panic("tenant: corrupt step segment (bits code)")
-		}
-		s.off += w2
-		st := step{cycle: s.prev, bits: drainMark}
-		if code != 0 {
-			cost, w3 := binary.Uvarint(seg[s.off:])
-			if w3 <= 0 {
-				panic("tenant: corrupt step segment (cost)")
+		seg, off, prev := s.segs[s.si], s.off, s.prev
+		for ; k < len(dst) && off < len(seg); k++ {
+			var v uint64
+			if b := seg[off]; b < 0x80 {
+				v, off = uint64(b), off+1
+			} else {
+				v, off = uvarintAt(seg, off, corruptDelta)
 			}
-			s.off += w3
-			st.bits = uint32(code - 1)
-			st.cost = uint32(cost)
+			prev += v
+			st := step{cycle: prev, bits: drainMark}
+			if off < len(seg) && seg[off] < 0x80 {
+				v, off = uint64(seg[off]), off+1
+			} else {
+				v, off = uvarintAt(seg, off, corruptCode)
+			}
+			if v != 0 {
+				st.bits = uint32(v - 1)
+				if off < len(seg) && seg[off] < 0x80 {
+					st.cost, off = uint32(seg[off]), off+1
+				} else {
+					v, off = uvarintAt(seg, off, corruptCost)
+					st.cost = uint32(v)
+				}
+			}
+			dst[k] = st
 		}
-		dst[k] = st
-		k++
+		s.off, s.prev = off, prev
 	}
 	return k
+}
+
+// uvarintAt decodes the varint at seg[off:] and returns it with the
+// offset past it; a truncated or overlong varint panics with msg.
+func uvarintAt(seg []byte, off int, msg string) (uint64, int) {
+	v, w := binary.Uvarint(seg[off:])
+	if w <= 0 {
+		panic(msg)
+	}
+	return v, off + w
 }
 
 // timelineEncoder packs steps into the segment encoding incrementally.
@@ -153,12 +176,21 @@ func (e *timelineEncoder) append(s step) error {
 	if s.cycle < e.prev {
 		return fmt.Errorf("tenant: step at cycle %d precedes its predecessor at %d; timelines are non-decreasing by the application-clock contract", s.cycle, e.prev)
 	}
-	e.buf = binary.AppendUvarint(e.buf, s.cycle-e.prev)
-	if s.bits == drainMark {
-		e.buf = binary.AppendUvarint(e.buf, 0)
-	} else {
-		e.buf = binary.AppendUvarint(e.buf, uint64(s.bits)+1)
-		e.buf = binary.AppendUvarint(e.buf, uint64(s.cost))
+	delta, code := s.cycle-e.prev, uint64(0)
+	if s.bits != drainMark {
+		code = uint64(s.bits) + 1
+	}
+	switch {
+	case delta < 0x80 && code == 0:
+		e.buf = append(e.buf, byte(delta), 0)
+	case delta < 0x80 && code < 0x80 && s.cost < 0x80:
+		e.buf = append(e.buf, byte(delta), byte(code), byte(s.cost))
+	default:
+		e.buf = binary.AppendUvarint(e.buf, delta)
+		e.buf = binary.AppendUvarint(e.buf, code)
+		if code != 0 {
+			e.buf = binary.AppendUvarint(e.buf, uint64(s.cost))
+		}
 	}
 	e.prev = s.cycle
 	e.inSeg++
