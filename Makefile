@@ -13,6 +13,9 @@ loc:
 	@git ls-files -z --cached --others --exclude-standard -- '*.go' ':!:*_test.go' ':!:perfbench/**' | xargs -0 cat | wc -l
 
 test:
+	@if git grep -n -E 'ReplayPoolReference|runPerRecord|replayReference' -- '*.go' ':!:*_test.go'; then \
+		echo "the per-record replay reference must stay in _test.go files" >&2; exit 1; \
+	fi
 	$(GO) test ./...
 	$(GO) test -run 'Invariant|Property' -count=2 ./internal/tenant
 	$(GO) test -race -count=2 -run 'VPCGolden|BitWriter|MemoryPage|ProfileAllocs|CompressorReset|PredictorBank' ./internal/vpc ./internal/mem ./internal/shadow ./internal/core

@@ -15,6 +15,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"time"
 
@@ -75,13 +76,16 @@ const (
 	benchStreamCores   = 2
 )
 
-// benchDispatchStats is one measured cell of the report.
+// benchDispatchStats is one measured cell of the report. SpreadPct is
+// the interquartile range of the cell's timed rounds over their median,
+// in percent: the noise its best round was picked from.
 type benchDispatchStats struct {
 	NsPerReplay     float64 `json:"ns_per_replay"`
 	NsPerRecord     float64 `json:"ns_per_record"`
 	RecordsPerSec   float64 `json:"records_per_sec"`
 	AllocsPerReplay float64 `json:"allocs_per_replay"`
 	BytesPerReplay  float64 `json:"bytes_per_replay"`
+	SpreadPct       float64 `json:"spread_pct"`
 }
 
 // benchPolicyRow is the batched replay's cost under one scheduling policy.
@@ -136,6 +140,7 @@ type benchStreamRow struct {
 	WindowSteps   int     `json:"window_steps"`
 	NsPerReplay   float64 `json:"ns_per_replay"`
 	RecordsPerSec float64 `json:"records_per_sec"`
+	SpreadPct     float64 `json:"spread_pct"`
 	PeakHeapBytes uint64  `json:"peak_heap_bytes"`
 }
 
@@ -217,7 +222,7 @@ func (s *session) benchReplay(jsonPath, diffSchemaPath string) error {
 	var batchedTotal time.Duration
 	for i, c := range policyCells {
 		rep.Suite.RecordsPerReplay = c.records
-		batchedTotal += c.best
+		batchedTotal += c.best()
 		rep.Policies = append(rep.Policies, benchPolicyRow{Policy: tenant.Policies()[i], Batched: c.stats()})
 	}
 	totalRecords := float64(rep.Suite.RecordsPerReplay) * float64(len(rep.Policies))
@@ -232,38 +237,42 @@ func (s *session) benchReplay(jsonPath, diffSchemaPath string) error {
 		rep.Sharded.Rows = append(rep.Sharded.Rows, row)
 	}
 
-	rep.Streaming.Rows[0].NsPerReplay = float64(streamCell.best.Nanoseconds())
-	rep.Streaming.Rows[0].RecordsPerSec = float64(streamCell.records) / streamCell.best.Seconds()
+	rep.Streaming.Rows[0].NsPerReplay = float64(streamCell.best().Nanoseconds())
+	rep.Streaming.Rows[0].RecordsPerSec = float64(streamCell.records) / streamCell.best().Seconds()
+	rep.Streaming.Rows[0].SpreadPct = streamCell.spreadPct()
 
 	fmt.Fprintf(s.out, "Replay benchmark: %d tenants, %d cores, %d records/replay, best of %d\n",
 		benchTenants, benchCores, rep.Suite.RecordsPerReplay, benchReps)
-	tb := metrics.NewTable("policy", "Mrec/s", "ns/record", "allocs")
+	tb := metrics.NewTable("policy", "Mrec/s", "ns/record", "allocs", "spread%")
 	for _, row := range rep.Policies {
 		tb.AddRow(row.Policy,
 			fmt.Sprintf("%.1f", row.Batched.RecordsPerSec/1e6),
 			fmt.Sprintf("%.1f", row.Batched.NsPerRecord),
-			fmt.Sprintf("%.0f", row.Batched.AllocsPerReplay))
+			fmt.Sprintf("%.0f", row.Batched.AllocsPerReplay),
+			fmt.Sprintf("%.1f", row.Batched.SpreadPct))
 	}
 	fmt.Fprint(s.out, tb.String())
 	fmt.Fprintf(s.out, "headline: %.1f Mrec/s\n\n", rep.Headline.BatchedRecordsPerSec/1e6)
 
 	fmt.Fprintf(s.out, "Sharded replay benchmark: %d tenants, %d cores, %s, %d records/replay, best of %d\n",
 		benchShardTenants, benchShardCores, benchShardPolicy, rep.Sharded.RecordsPerReplay, benchReps)
-	st := metrics.NewTable("shards", "Mrec/s", "speedup-vs-1")
+	st := metrics.NewTable("shards", "Mrec/s", "speedup-vs-1", "spread%")
 	for _, row := range rep.Sharded.Rows {
 		st.AddRow(fmt.Sprintf("%d", row.Shards),
 			fmt.Sprintf("%.1f", row.Stats.RecordsPerSec/1e6),
-			fmt.Sprintf("%.2fx", row.SpeedupX))
+			fmt.Sprintf("%.2fx", row.SpeedupX),
+			fmt.Sprintf("%.1f", row.Stats.SpreadPct))
 	}
 	fmt.Fprint(s.out, st.String())
 	fmt.Fprintln(s.out)
 
 	fmt.Fprintf(s.out, "Streaming replay benchmark: %d tenants x %d generated steps, %d cores, suite encodes at %.2f B/step\n",
 		benchStreamTenants, benchStreamSteps, benchStreamCores, rep.Streaming.EncodedBytesPerStep)
-	wt := metrics.NewTable("window", "Mrec/s", "peak-heap-KiB")
+	wt := metrics.NewTable("window", "Mrec/s", "spread%", "peak-heap-KiB")
 	for _, row := range rep.Streaming.Rows {
 		wt.AddRow(fmt.Sprintf("%d", row.WindowSteps),
 			fmt.Sprintf("%.1f", row.RecordsPerSec/1e6),
+			fmt.Sprintf("%.1f", row.SpreadPct),
 			fmt.Sprintf("%.0f", float64(row.PeakHeapBytes)/1024))
 	}
 	fmt.Fprint(s.out, wt.String())
@@ -435,16 +444,17 @@ type benchCell struct {
 	profiles []*tenant.Profile
 	pool     tenant.PoolConfig
 
-	records         uint64        // records one replay serves
-	best            time.Duration // fastest timed replay
-	mallocs, bytesN uint64        // heap allocations over the timed replays
+	records         uint64          // records one replay serves
+	times           []time.Duration // every timed replay, in round order
+	mallocs, bytesN uint64          // heap allocations over the timed replays
 }
 
 // measureCells times every cell through tenant.ReplayPool (sharded when
 // the pool asks for shards): an untimed warm-up replay per cell (fills
 // the arena pool and factor memo, and supplies the record count), then
-// benchReps rounds, each replaying every cell once, keeping each cell's
-// fastest replay. Allocation figures are runtime.MemStats deltas around
+// benchReps rounds, each replaying every cell once, keeping every cell's
+// times (the fastest is reported, the rest give its spread). Allocation
+// figures are runtime.MemStats deltas around
 // each timed replay, averaged — the command-line analogue of
 // testing.B's ReportAllocs.
 func measureCells(cells []*benchCell) error {
@@ -467,9 +477,7 @@ func measureCells(cells []*benchCell) error {
 			}
 			d := time.Since(start)
 			runtime.ReadMemStats(&after)
-			if rep == 0 || d < c.best {
-				c.best = d
-			}
+			c.times = append(c.times, d)
 			c.mallocs += after.Mallocs - before.Mallocs
 			c.bytesN += after.TotalAlloc - before.TotalAlloc
 		}
@@ -477,14 +485,34 @@ func measureCells(cells []*benchCell) error {
 	return nil
 }
 
+// best returns the cell's fastest timed replay.
+func (c *benchCell) best() time.Duration { return slices.Min(c.times) }
+
+// spreadPct returns (p75 - p25) / median of the cell's timed replays, in
+// percent, with quartiles interpolated linearly between order statistics.
+func (c *benchCell) spreadPct() float64 {
+	sorted := slices.Sorted(slices.Values(c.times))
+	q := func(p float64) float64 {
+		x := p * float64(len(sorted)-1)
+		i := int(x)
+		if i+1 >= len(sorted) {
+			return float64(sorted[i])
+		}
+		return float64(sorted[i]) + (x-float64(i))*float64(sorted[i+1]-sorted[i])
+	}
+	return (q(0.75) - q(0.25)) / q(0.5) * 100
+}
+
 // stats reports the cell's measurement in the report's stat fields.
 func (c *benchCell) stats() benchDispatchStats {
-	ns := float64(c.best.Nanoseconds())
+	best := c.best()
+	ns := float64(best.Nanoseconds())
 	return benchDispatchStats{
 		NsPerReplay:     ns,
 		NsPerRecord:     ns / float64(c.records),
-		RecordsPerSec:   float64(c.records) / c.best.Seconds(),
+		RecordsPerSec:   float64(c.records) / best.Seconds(),
 		AllocsPerReplay: float64(c.mallocs) / benchReps,
 		BytesPerReplay:  float64(c.bytesN) / benchReps,
+		SpreadPct:       c.spreadPct(),
 	}
 }

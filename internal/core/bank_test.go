@@ -15,11 +15,15 @@ import (
 // earlier run grew to about 4 MB, from logbuf's pool, so once one run has
 // warmed the pools, neither ProfileLBA nor RunLBA allocates a bank or
 // regrows a ring. The collector is paused so the pools are not emptied
-// between the runs.
+// between the runs, and the test runs on one P: a sync.Pool Get never
+// takes another P's private slot, so a goroutine moved to another P
+// between the Put and the Get would miss the pooled bank or channel on a
+// busy machine.
 func TestProfileReusesPredictorBank(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop banks at random")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	spec, err := workloads.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)

@@ -50,10 +50,10 @@ type Criteria struct {
 	ExpectFallbackScan *bool
 
 	// CheckDeterminism re-executes the scenario on a fresh serial engine
-	// and requires a byte-identical artifact. CheckDifferential runs the
-	// scenario's differential oracle: DBI-vs-LBA violation sets for
-	// single scenarios, the per-record dispatch oracle for pool
-	// scenarios.
+	// and requires a byte-identical artifact. CheckDifferential (single
+	// scenarios only) requires the DBI oracle to report the LBA run's
+	// violation set. Pool rows are compared with the per-record replay
+	// reference in the tenant package's tests instead.
 	CheckDeterminism  bool
 	CheckDifferential bool
 }
@@ -269,8 +269,8 @@ func (c *Criteria) validateFor(s Scenario) error {
 		if c.HasViolations && len(c.ExpectViolations) > 0 {
 			return fmt.Errorf("pool scenarios support only \"expect_violations: none\" (cells carry counts, not kinds)")
 		}
-		if c.CheckDifferential && s.Shards > 1 {
-			return fmt.Errorf("check_differential needs an unsharded pool: %d shards is a different scheduling point than the per-record oracle", s.Shards)
+		if c.CheckDifferential {
+			return fmt.Errorf("check_differential does not apply to pool scenarios")
 		}
 	case KindAdmission:
 		if c.HasViolations {

@@ -122,7 +122,8 @@ func TestCriteriaValidateForKind(t *testing.T) {
 		{"admission expectation on pool", "expect_max_tenants: 3\n", pool, "only apply to admission"},
 		{"violations on admission", "expect_violations: none\n", admission, "does not apply to admission"},
 		{"differential on admission", "check_differential: true\n", admission, "does not apply to admission"},
-		{"differential on sharded pool", "check_differential: true\n", sharded, "unsharded"},
+		{"differential on pool", "check_differential: true\n", pool, "does not apply to pool"},
+		{"differential on sharded pool", "check_differential: true\n", sharded, "does not apply to pool"},
 		{"peak bound without churn", "min_peak_concurrency: 2\n", pool, "churn layout"},
 		{"peak bound with churn", "min_peak_concurrency: 2\n", churned, ""},
 		{"pool bounds on pool", "max_mean_slowdown_x: 2\nmax_contention_x: 2\n", pool, ""},

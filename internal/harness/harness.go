@@ -12,7 +12,7 @@
 // corpus/ doubles as the project's open-ended regression suite
 // (TestScenarioCorpus), and its criteria fold the classic bespoke checks
 // — expected violation sets, slowdown/lag SLO bounds, admission counts,
-// dispatch-oracle differentials and rerun determinism — into data.
+// DBI-vs-LBA differentials and rerun determinism — into data.
 //
 // Execution reuses the experiment engines end to end: single scenarios
 // are runner.Jobs (memoized by content hash, so a scenario and its
@@ -106,8 +106,8 @@ type executor struct {
 	threads int
 }
 
-func (h *executor) workloadConfig(s Scenario) workloads.Config {
-	return workloads.Config{Scale: s.Scale, Seed: s.Seed, Threads: h.threads, Bug: s.Bug}
+func (s Scenario) workloadConfig(threads int) workloads.Config {
+	return workloads.Config{Scale: s.Scale, Seed: s.Seed, Threads: threads, Bug: s.Bug}
 }
 
 func (s Scenario) poolConfig() tenant.PoolConfig {
@@ -149,7 +149,7 @@ func (h *executor) runScenario(ctx context.Context, s Scenario, c *Criteria) (Sc
 // memoized experiment engine, plus its unmonitored baseline for the
 // slowdown bound and, under check_differential, the DBI oracle.
 func (h *executor) runSingle(ctx context.Context, s Scenario, c *Criteria) (*Artifact, error) {
-	wcfg, ccfg := h.workloadConfig(s), core.DefaultConfig()
+	wcfg, ccfg := s.workloadConfig(h.threads), core.DefaultConfig()
 	lbaJob := runner.Job{Benchmark: s.Benchmark, Mode: core.ModeLBA, Lifeguard: s.Lifeguard, Workload: wcfg, Config: ccfg}
 	res, err := h.exp.Run(ctx, lbaJob)
 	if err != nil {
@@ -213,10 +213,10 @@ func (h *executor) runSingle(ctx context.Context, s Scenario, c *Criteria) (*Art
 }
 
 // runPool replays the scenario's suite tenant set against its pool shape
-// and evaluates the cell-level SLO bounds, plus the rerun-determinism and
-// per-record-oracle differentials when asked.
+// and evaluates the cell-level SLO bounds, plus the rerun-determinism
+// check when asked.
 func (h *executor) runPool(ctx context.Context, s Scenario, c *Criteria) (*Artifact, error) {
-	set, pool, err := h.tenantSet(s)
+	set, pool, err := s.TenantSet(h.threads)
 	if err != nil {
 		return nil, err
 	}
@@ -286,18 +286,6 @@ func (h *executor) runPool(ctx context.Context, s Scenario, c *Criteria) (*Artif
 			Pass: res.PeakConcurrency <= *c.MaxPeakConcurrency,
 		})
 	}
-	if c.CheckDifferential {
-		pass, got, err := h.dispatchOracle(ctx, set, pool, res)
-		if err != nil {
-			return nil, err
-		}
-		checks = append(checks, Check{
-			Name: "check_differential",
-			Want: "per-record dispatch oracle deep-equals the batched replay",
-			Got:  got,
-			Pass: pass,
-		})
-	}
 	if c.CheckDeterminism {
 		again, err := tenant.NewEngine(1, nil).RunPool(ctx, set, pool)
 		if err != nil {
@@ -323,30 +311,10 @@ func (h *executor) runPool(ctx context.Context, s Scenario, c *Criteria) (*Artif
 	return &Artifact{Schema: ArtifactSchema, ID: s.ID, Kind: s.Kind, Checks: checks, Cell: &cell}, nil
 }
 
-// dispatchOracle replays the scenario's profiles (tenant.Engine.Profiles,
-// the ones RunPool replayed) through the per-record reference
-// (tenant.ReplayPoolReference) and deep-compares against the batched
-// result — the corpus form of the TestBatchedDispatchMatchesPerRecord
-// differential.
-func (h *executor) dispatchOracle(ctx context.Context, set []tenant.Tenant, pool tenant.PoolConfig, batched *tenant.PoolResult) (bool, string, error) {
-	profiles, err := h.ten.Profiles(ctx, set)
-	if err != nil {
-		return false, "", err
-	}
-	oracle, err := tenant.ReplayPoolReference(ctx, profiles, pool)
-	if err != nil {
-		return false, "", err
-	}
-	if reflect.DeepEqual(oracle, batched) {
-		return true, "deep-equal", nil
-	}
-	return false, "per-record oracle diverged from the batched replay", nil
-}
-
 // runAdmission answers the scenario's admission query and checks the
 // admitted count.
 func (h *executor) runAdmission(ctx context.Context, s Scenario, c *Criteria) (*Artifact, error) {
-	wcfg, ccfg := h.workloadConfig(s), core.DefaultConfig()
+	wcfg, ccfg := s.workloadConfig(h.threads), core.DefaultConfig()
 	query := tenant.AdmissionQuery{
 		Pool:       s.poolConfig(),
 		SLOs:       []float64{s.SLO},
@@ -398,9 +366,12 @@ func (h *executor) runAdmission(ctx context.Context, s Scenario, c *Criteria) (*
 	return &Artifact{Schema: ArtifactSchema, ID: s.ID, Kind: s.Kind, Checks: checks, Admission: points}, nil
 }
 
-// tenantSet builds a pool scenario's churned suite population.
-func (h *executor) tenantSet(s Scenario) ([]tenant.Tenant, tenant.PoolConfig, error) {
-	wcfg := h.workloadConfig(s)
+// TenantSet builds a pool scenario's churned suite population, with the
+// multithreaded benchmarks at the given thread count (the harness runs
+// them at Options.Threads), and its pool shape: exactly what the harness
+// replays for the row.
+func (s Scenario) TenantSet(threads int) ([]tenant.Tenant, tenant.PoolConfig, error) {
+	wcfg := s.workloadConfig(threads)
 	set, err := tenant.FromSuite(s.Tenants, wcfg, core.DefaultConfig())
 	if err != nil {
 		return nil, tenant.PoolConfig{}, err

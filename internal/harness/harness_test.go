@@ -31,7 +31,7 @@ func testCriteria(t *testing.T) (scenarios []Scenario, criteria map[string]*Crit
 	for id, text := range map[string]string{
 		"uaf-bc":        "expect_violations: use-after-free\nmin_slowdown_x: 1\ncheck_differential: true\n",
 		"clean-gzip":    "expect_violations: none\nmax_slowdown_x: 500\ncheck_determinism: true\n",
-		"wfq-churn":     "expect_violations: none\nmax_slowdown_x: 10000\nmin_peak_concurrency: 1\ncheck_differential: true\ncheck_determinism: true\n",
+		"wfq-churn":     "expect_violations: none\nmax_slowdown_x: 10000\nmin_peak_concurrency: 1\ncheck_determinism: true\n",
 		"rr-sharded":    "max_slowdown_x: 10000\ncheck_determinism: true\n",
 		"adm-least-lag": "expect_max_tenants: 0\ncheck_determinism: true\n",
 	} {

@@ -14,14 +14,18 @@ import (
 
 // faultyFile is the store's log with faults injected on demand: a short
 // write puts half the bytes on disk and fails, a failed sync fails after
-// the write went through.
+// the write went through, and a failed truncate leaves the file as it is.
 type faultyFile struct {
 	*os.File
-	shortWrites int // fail this many writes, half-written
-	failSyncs   int // fail this many syncs
+	shortWrites   int // fail this many writes, half-written
+	failSyncs     int // fail this many syncs
+	failTruncates int // fail this many truncates
 }
 
-var errInjected = errors.New("injected fault")
+var (
+	errInjected         = errors.New("injected fault")
+	errInjectedTruncate = errors.New("injected truncate fault")
+)
 
 func (f *faultyFile) Write(b []byte) (int, error) {
 	if f.shortWrites > 0 {
@@ -40,10 +44,21 @@ func (f *faultyFile) Sync() error {
 	return f.File.Sync()
 }
 
+func (f *faultyFile) Truncate(size int64) error {
+	if f.failTruncates > 0 {
+		f.failTruncates--
+		return errInjectedTruncate
+	}
+	return f.File.Truncate(size)
+}
+
 // A failed append leaves no trace in the log: a short write is truncated
 // away, so the next append lands where it should and the log reopens; a
 // failed sync poisons the store, so nothing after it is acknowledged.
-// Reopening recovers exactly the acknowledged entries.
+// Reopening recovers exactly the acknowledged entries. A short write whose
+// truncate also fails leaves its torn half on disk: the store cannot put
+// the log back, so it refuses every later append, and the next Open drops
+// the torn tail.
 func TestStoreAppendRollsBackFailures(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -103,6 +118,55 @@ func TestStoreAppendRollsBackFailures(t *testing.T) {
 	if acked[1].Seq != 2 {
 		t.Errorf("the append after a failed one took seq %d, want 2", acked[1].Seq)
 	}
+
+	t.Run("failed rollback", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := &faultyFile{File: s.f.(*os.File)}
+		s.f = f
+		entry := func(name string) AuditEntry {
+			return AuditEntry{Op: "admit", TenantID: len(name), Name: name, Benchmark: "gzip"}
+		}
+		first, err := s.Append(entry("first"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.shortWrites, f.failTruncates = 1, 1
+		if _, err := s.Append(entry("torn")); !errors.Is(err, errInjected) || errors.Is(err, errInjectedTruncate) {
+			t.Fatalf("append over a short write with a failed rollback: %v, want the write's fault", err)
+		}
+		for _, name := range []string{"after-failed-rollback", "again"} {
+			_, err := s.Append(entry(name))
+			if err == nil || !strings.Contains(err.Error(), "rollback failed") || !errors.Is(err, errInjectedTruncate) {
+				t.Fatalf("append %q to a store whose rollback failed: %v, want the rollback failure", name, err)
+			}
+		}
+		if s.Len() != 1 {
+			t.Errorf("store counts %d entries, want the 1 acknowledged", s.Len())
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s, entries, err := open(dir)
+		if err != nil {
+			t.Fatalf("reopening over a torn tail: %v", err)
+		}
+		defer s.Close()
+		if want := []AuditEntry{first}; !reflect.DeepEqual(entries, want) {
+			t.Errorf("recovered %+v, want the acknowledged %+v", entries, want)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, auditFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines := strings.Count(string(data), "\n"); lines != 1 || !strings.HasSuffix(string(data), "\n") {
+			t.Errorf("reopened log holds %d lines and ends %q; want the torn tail truncated away", lines, data[len(data)-1:])
+		}
+	})
 }
 
 // After a failed audit sync the daemon acknowledges nothing: the

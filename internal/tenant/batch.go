@@ -6,9 +6,11 @@ package tenant
 // consecutive records from one tenant, plus the incremental rank
 // structures (a maintained core order, a frozen-rivals virtual-time rank)
 // they use. The replay half — run discovery in the virtual-time merge —
-// lives in pool.go. The per-record reference (ReplayPoolReference) calls
-// only Pick; it is the differential oracle the run methods are pinned
-// against, byte for byte, by TestBatchedDispatchMatchesPerRecord.
+// lives in pool.go, and runBatched there is the only merge loop outside
+// the tests. The per-record reference lives in the tests
+// (reference_test.go) and calls only Pick; it is the differential oracle
+// the run methods are pinned against, byte for byte, by
+// TestBatchedDispatchMatchesPerRecord.
 
 // coreOrder maintains the pool's cores sorted ascending by
 // (FreeAt, index) — the order earliestFree and coreByRank's selection

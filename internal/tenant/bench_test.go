@@ -29,7 +29,8 @@ func benchSuiteProfiles(b *testing.B, n, scale int) []*Profile {
 	return profiles
 }
 
-// replayFunc is a replay entry point: ReplayPool or ReplayPoolReference.
+// replayFunc is a replay in ReplayPool's signature: ReplayPool or the
+// per-record reference, replayReference.
 type replayFunc func(context.Context, []*Profile, PoolConfig) (*PoolResult, error)
 
 // benchReplay measures one (policy, replay path) cell: wall time per
@@ -65,7 +66,7 @@ func BenchmarkReplay(b *testing.B) {
 		replay replayFunc
 	}{
 		{"batched", ReplayPool},
-		{"per-record", ReplayPoolReference},
+		{"per-record", replayReference},
 	} {
 		b.Run(path.name, func(b *testing.B) {
 			for _, policy := range Policies() {

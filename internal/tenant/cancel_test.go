@@ -40,7 +40,7 @@ func TestReplayCancelledBeforeStart(t *testing.T) {
 		shards int
 	}{
 		{"batched", ReplayPool, 0},
-		{"per-record", ReplayPoolReference, 0},
+		{"per-record", replayReference, 0},
 		{"sharded", ReplayPool, 2},
 	} {
 		res, err := c.replay(ctx, profiles, PoolConfig{Cores: 2, Policy: PolicyLeastLag, Shards: c.shards})
@@ -69,12 +69,18 @@ func TestReplayCancelledBeforeStart(t *testing.T) {
 func TestReplayCancelAbortsWithinWindow(t *testing.T) {
 	const window = 256
 	const cancelAt = 10
-	for _, perRecord := range []bool{false, true} {
+	for _, c := range []struct {
+		name   string
+		replay func(context.Context, []*Profile, PoolConfig, replayOpts) (*PoolResult, error)
+	}{
+		{"batched", replayMode},
+		{"per-record", runReference},
+	} {
 		profiles := []*Profile{longSyntheticProfile(t, "long", 100_000)}
 		pool := PoolConfig{Cores: 1, Policy: PolicyLeastLag}
 		ctx, cancel := context.WithCancel(context.Background())
 		served, after := 0, 0
-		res, err := replayMode(ctx, profiles, pool, replayOpts{window: window, perRecord: perRecord,
+		res, err := c.replay(ctx, profiles, pool, replayOpts{window: window,
 			obs: func(ti, core int, req Request, charge, finish uint64) {
 				served++
 				if served == cancelAt {
@@ -86,13 +92,13 @@ func TestReplayCancelAbortsWithinWindow(t *testing.T) {
 			}})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("perRecord=%v: want context.Canceled, got %v", perRecord, err)
+			t.Fatalf("%s: want context.Canceled, got %v", c.name, err)
 		}
 		if res != nil {
-			t.Fatalf("perRecord=%v: cancelled replay must not return a result", perRecord)
+			t.Fatalf("%s: cancelled replay must not return a result", c.name)
 		}
 		if after > window {
-			t.Errorf("perRecord=%v: %d records served after cancel; the refill check bounds it by the %d-step window", perRecord, after, window)
+			t.Errorf("%s: %d records served after cancel; the refill check bounds it by the %d-step window", c.name, after, window)
 		}
 	}
 }
@@ -183,7 +189,7 @@ func TestPoolValidatedAtEntryPoints(t *testing.T) {
 		{"ReplayPool/per-record", "unknown scheduling policy", func() error {
 			unsharded := pool
 			unsharded.Shards, unsharded.Policy = 0, "fifo?"
-			_, err := ReplayPoolReference(context.Background(), profiles, unsharded)
+			_, err := replayReference(context.Background(), profiles, unsharded)
 			return err
 		}},
 		{"ReplayPool/sharded", "shards 2 outside", func() error {

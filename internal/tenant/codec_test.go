@@ -181,7 +181,7 @@ func corpusProfiles(t *testing.T) []*Profile {
 // TestRetireShortcutMatchesWalk pins the premise of retire's shortcut: a
 // departure window [arrive, arrive+AppCycles+k] truncates nothing, so
 // the dedicated-core walk over it equals the profile's DedicatedWall.
-// The walk is dedicatedWallOn itself, not ReplayPoolReference, which
+// The walk is dedicatedWallOn itself, not the per-record reference, which
 // shares retire. It covers profiled suite tenants (their steps end by
 // AppCycles), NewSyntheticProfile timelines and every tenant of the
 // replay fuzz corpus.

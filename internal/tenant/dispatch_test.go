@@ -52,7 +52,7 @@ func diffDispatch(t *testing.T, label string, profiles []*Profile, pool PoolConf
 	if err != nil {
 		t.Fatalf("%s: batched replay failed: %v", label, err)
 	}
-	oracle, err := ReplayPoolReference(context.Background(), profiles, pool)
+	oracle, err := replayReference(context.Background(), profiles, pool)
 	if err != nil {
 		t.Fatalf("%s: per-record replay failed: %v", label, err)
 	}
@@ -69,7 +69,8 @@ func diffDispatch(t *testing.T, label string, profiles []*Profile, pool PoolConf
 // churned, migration model off and on, 1-3 cores, cycled weights and the
 // tiers they derive), and the synthetic fuzz-corpus timelines — including
 // the churn seeds, whose arrivals force mid-run BeginRun re-snapshots,
-// and the drain-heavy seed, whose drains interleave with backpressure.
+// and the drain-heavy seed, whose drains interleave with backpressure —
+// plus one 2-tenant wfq pool at a larger scale.
 func TestBatchedDispatchMatchesPerRecord(t *testing.T) {
 	fixed := dispatchSuiteProfiles(t, 4, Churn{})
 	churned := dispatchSuiteProfiles(t, 4, Churn{Rate: 0.5})
@@ -105,6 +106,19 @@ func TestBatchedDispatchMatchesPerRecord(t *testing.T) {
 			}
 		})
 	}
+	// Two suite tenants at a larger scale (40k), under wfq with the
+	// migration model on and neither weights nor a deadline.
+	t.Run("suite-2x40k", func(t *testing.T) {
+		set, err := FromSuite(2, workloads.Config{Scale: 40_000}, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		profiles, err := NewEngine(1, nil).Profiles(context.Background(), set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffDispatch(t, PolicyWFQ, profiles, PoolConfig{Cores: 2, Policy: PolicyWFQ, MigrationPenalty: 320})
+	})
 }
 
 // TestBatchedReplaySteadyStateAllocs is the allocation regression guard

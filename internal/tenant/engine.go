@@ -103,7 +103,7 @@ func (e *Engine) RunPool(ctx context.Context, tenants []Tenant, pool PoolConfig)
 // tenant's arrival/departure window is overlaid on a shallow copy of its
 // memoized, window-free profile, never on the cached value. Invalid
 // windows are rejected before any profiling runs. RunPool replays what it
-// returns; the harness's per-record oracle replays the same profiles.
+// returns, and the tests' per-record reference replays the same profiles.
 func (e *Engine) Profiles(ctx context.Context, tenants []Tenant) ([]*Profile, error) {
 	for _, t := range tenants {
 		if err := t.validateWindow(); err != nil {

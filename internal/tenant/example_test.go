@@ -131,40 +131,39 @@ func ExampleEngine_RunPool() {
 	// monitoring slows tenants down: true
 }
 
-// Engine.RunPool serves every replay through ReplayPool, the batched
-// production path; ReplayPoolReference, the per-record reference, exists
-// to be diffed against. The two are pinned byte-identical, so the
-// batching can never change a result — only how fast it arrives.
+// Engine.RunPool serves every replay through ReplayPool, the one replay
+// entry point: it profiles the tenants (memoized) and replays the
+// profiles batched, so replaying the engine's profiles directly gives the
+// same result, field for field. The tests pin ReplayPool byte-identical
+// to a per-record reference, so the batching can never change a result —
+// only how fast it arrives.
 func ExampleEngine_RunPool_batched() {
 	eng := tenant.NewEngine(1, nil)
 	set, err := tenant.FromSuite(2, workloads.Config{Scale: 40_000}, core.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	profiles := make([]*tenant.Profile, len(set))
-	for i, tn := range set {
-		if profiles[i], err = eng.Profile(context.Background(), tn); err != nil {
-			log.Fatal(err)
-		}
-	}
-
 	pool := tenant.PoolConfig{Cores: 2, Policy: tenant.PolicyWFQ, MigrationPenalty: 320}
-	batched, err := tenant.ReplayPool(context.Background(), profiles, pool)
+	viaEngine, err := eng.RunPool(context.Background(), set, pool)
 	if err != nil {
 		log.Fatal(err)
 	}
-	oracle, err := tenant.ReplayPoolReference(context.Background(), profiles, pool)
+	profiles, err := eng.Profiles(context.Background(), set)
+	if err != nil {
+		log.Fatal(err)
+	}
+	direct, err := tenant.ReplayPool(context.Background(), profiles, pool)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	var records uint64
-	for _, tr := range batched.Tenants {
+	for _, tr := range direct.Tenants {
 		records += tr.Records
 	}
 	fmt.Println("records replayed:", records > 0)
-	fmt.Println("dispatch paths agree:", reflect.DeepEqual(batched, oracle))
+	fmt.Println("RunPool is ReplayPool of its profiles:", reflect.DeepEqual(viaEngine, direct))
 	// Output:
 	// records replayed: true
-	// dispatch paths agree: true
+	// RunPool is ReplayPool of its profiles: true
 }

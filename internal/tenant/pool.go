@@ -359,17 +359,18 @@ func (ts *tenantState) activeApp() uint64 {
 }
 
 // ReplayPool replays already-built profiles (Engine.Profile) against one
-// pool configuration: the batched production path, or — when
-// pool.Shards > 1 — the sharded path, whose sub-pools are each replayed
-// batched on their own goroutine and merged deterministically (shard.go;
-// one shard is the batched replay, byte for byte). Arrival/departure
-// windows are read from each profile's Tenant description (Engine.RunPool
-// overlays the caller's windows onto the memoized, window-free profiles
-// before calling in). A cancelled ctx aborts the replay at the next
-// decode-window refill (the check sits off the per-record path, so
-// cancellation costs nothing in the steady state) and the call returns
-// ctx.Err(); a replay that observes a cancelled context never returns a
-// result — the lbad serving daemon's control loop relies on both halves.
+// pool configuration. It is the package's one replay entry point: the
+// batched replay, or — when pool.Shards > 1 — the sharded path, whose
+// sub-pools are each replayed batched on their own goroutine and merged
+// deterministically (shard.go; one shard is the batched replay, byte for
+// byte). Arrival/departure windows are read from each profile's Tenant
+// description (Engine.RunPool overlays the caller's windows onto the
+// memoized, window-free profiles before calling in). A cancelled ctx
+// aborts the replay at the next decode-window refill (the check sits off
+// the per-record path, so cancellation costs nothing in the steady state)
+// and the call returns ctx.Err(); a replay that observes a cancelled
+// context never returns a result — the lbad serving daemon's control
+// loop relies on both halves.
 func ReplayPool(ctx context.Context, profiles []*Profile, pool PoolConfig) (*PoolResult, error) {
 	if err := pool.Validate(); err != nil {
 		return nil, err
@@ -380,42 +381,25 @@ func ReplayPool(ctx context.Context, profiles []*Profile, pool PoolConfig) (*Poo
 	return replayMode(ctx, profiles, pool, replayOpts{})
 }
 
-// ReplayPoolReference is the per-record reference replay of a single,
-// unsharded pool: one scheduler Pick per record with a full view refresh
-// and re-ranking from scratch, fresh buffers, no arena. It is the
-// differential oracle ReplayPool's batched path is pinned deep-equal
-// against (the go-test tier and the harness's check_differential), not a
-// production path. A pool asking for two or more shards is rejected:
-// static partitioning is a different scheduling point, with no
-// per-record reference.
-func ReplayPoolReference(ctx context.Context, profiles []*Profile, pool PoolConfig) (*PoolResult, error) {
-	if err := pool.Validate(); err != nil {
-		return nil, err
-	}
-	if pool.Shards > 1 {
-		return nil, fmt.Errorf("tenant: the per-record reference replays one pool, got Shards %d", pool.Shards)
-	}
-	return replayMode(ctx, profiles, pool, replayOpts{perRecord: true})
-}
-
 // replayArena is one replay's reusable working memory. Replays run per
 // matrix cell — thousands per sweep — and their working state (tenant
-// states, views, channels, warmth matrix) is shaped only by the tenant
-// and core counts, so a sync.Pool of arenas cuts steady-state replay
-// allocations to near zero. Reuse is invisible by construction: every
-// slice is re-dimensioned and overwritten in setup, channels go through
-// logbuf.Channel.Reset, and the warmth model through warmthModel.reset —
-// each documented to restore as-new state. The per-record reference
-// never uses an arena, so the differential tests pin that reuse invisible.
+// states, views, warmth matrix, decode windows) is shaped only by the
+// tenant and core counts, so a sync.Pool of arenas cuts steady-state
+// replay allocations to near zero. Reuse is invisible by construction:
+// every slice is re-dimensioned and overwritten in setup, and the warmth
+// model goes through warmthModel.reset, documented to restore as-new
+// state. Channels are not arena-held: each tenant takes one from
+// logbuf.Get and the replay's end returns it with logbuf.Put. The
+// per-record reference in the tests replays on a brand-new arena with
+// fresh channels, so the differential tests pin that reuse invisible.
 type replayArena struct {
-	states   []tenantState
-	views    []TenantView
-	cores    []CoreView
-	busy     []uint64
-	agenda   []int
-	channels []*logbuf.Channel
-	warmth   warmthModel
-	ring     windowRing // decoded-step window buffers, recycled across replays
+	states []tenantState
+	views  []TenantView
+	cores  []CoreView
+	busy   []uint64
+	agenda []int
+	warmth warmthModel
+	ring   windowRing // decoded-step window buffers, recycled across replays
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(replayArena) }}
@@ -444,8 +428,7 @@ type replayer struct {
 	warmth   *warmthModel
 	agenda   []int // tenant indices in arrival order (churn only)
 	arrivals int   // agenda cursor
-	arena    *replayArena
-	ring     *windowRing // decoded-step windows (arena-backed on the batched path)
+	ring     *windowRing
 }
 
 // observer is a per-record hook, invoked after each record is assigned
@@ -454,14 +437,12 @@ type replayer struct {
 type observer func(tenant, core int, req Request, charge, finish uint64)
 
 // replayOpts is the replay's test seam: what only the go-test tier sets,
-// to watch service unfold, to run the per-record reference or the serial
-// shard oracle, and to drive the pipeline at decode windows and warmth
-// half-lives production never uses. Production replays pass the zero
-// value, which selects the batched path, parallel shards,
-// DefaultStepWindow and the default half-lives.
+// to watch service unfold, to run the serial shard oracle, and to drive
+// the pipeline at decode windows and warmth half-lives production never
+// uses. Production replays pass the zero value, which selects parallel
+// shards, DefaultStepWindow and the default half-lives.
 type replayOpts struct {
 	obs                observer // per-record hook; nil costs one comparison per record
-	perRecord          bool     // the per-record reference instead of the batched path
 	serial             bool     // replay shards one by one, in shard order
 	window             int      // decode window in steps; 0 = DefaultStepWindow
 	halfLifeBytes      uint64   // warmth byte half-life; 0 = DefaultWarmthHalfLifeBytes
@@ -469,47 +450,59 @@ type replayOpts struct {
 }
 
 // replayMode replays one global pool, already validated and unsharded,
-// down the batched path or the per-record reference (opts.perRecord).
+// on a pooled arena.
 func replayMode(ctx context.Context, profiles []*Profile, pool PoolConfig, opts replayOpts) (*PoolResult, error) {
+	a := arenaPool.Get().(*replayArena)
+	defer arenaPool.Put(a)
+	var r replayer
+	if err := r.start(ctx, profiles, pool, opts, a); err != nil {
+		return nil, err
+	}
+	return r.end(r.runBatched())
+}
+
+// start checks the context, builds the pool's scheduler and sets the
+// replay up on a's working memory.
+func (r *replayer) start(ctx context.Context, profiles []*Profile, pool PoolConfig, opts replayOpts, a *replayArena) error {
 	if len(profiles) == 0 {
-		return nil, fmt.Errorf("tenant: no tenants")
+		return fmt.Errorf("tenant: no tenants")
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	sched, err := NewScheduler(pool.Policy, pool, len(profiles))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r := replayer{pool: pool, opts: opts, sched: sched, ctx: ctx, done: ctx.Done()}
-	if !opts.perRecord {
-		r.arena = arenaPool.Get().(*replayArena)
-		defer arenaPool.Put(r.arena)
-	}
-	if err := r.setup(profiles); err != nil {
-		return nil, err
-	}
-	if opts.perRecord {
-		err = r.runPerRecord()
-	} else {
-		err = r.runBatched()
-	}
-	// A context cancelled during the merge's very last window would
-	// otherwise slip through with a complete-looking result; the contract
-	// is that a cancelled replay always returns ctx.Err() and never a
-	// result (retire()'s dedicated-core replays bail out early on
-	// cancellation with partial clocks, so a result assembled after a
-	// cancel could be silently wrong).
+	*r = replayer{pool: pool, opts: opts, sched: sched, ctx: ctx, done: ctx.Done()}
+	return r.setup(profiles, a)
+}
+
+// end closes a replay whose merge loop returned err. A context cancelled
+// during the merge's very last window would otherwise slip through with
+// a complete-looking result; the contract is that a cancelled replay
+// always returns ctx.Err() and never a result (retire()'s dedicated-core
+// replays bail out early on cancellation with partial clocks, so a result
+// assembled after a cancel could be silently wrong). Either way every
+// decoded window returns to the ring and every channel to logbuf, and the
+// cursors drop their sources, so an arena-held state never retains a
+// window, a channel or a reference into a memoized profile's segments
+// beyond the replay.
+func (r *replayer) end(err error) (*PoolResult, error) {
 	if err == nil {
-		err = ctx.Err()
+		err = r.ctx.Err()
 	}
-	if err != nil {
-		for i := range r.states {
-			r.states[i].cur.close(r.ring)
-		}
-		return nil, err
+	var res *PoolResult
+	if err == nil {
+		res = r.finish()
 	}
-	return r.finish(), nil
+	for i := range r.states {
+		ts := &r.states[i]
+		ts.cur.close(r.ring)
+		logbuf.Put(ts.ch)
+		ts.ch = nil
+	}
+	return res, err
 }
 
 // cancelled reports whether the replay's context has been cancelled. It
@@ -527,61 +520,41 @@ func (r *replayer) cancelled() bool {
 	}
 }
 
-// setup dimensions the replay state for the profiles, drawing working
-// memory from the arena when one is attached (batched path) and
-// allocating fresh otherwise (per-record reference).
-func (r *replayer) setup(profiles []*Profile) error {
-	n := len(profiles)
-	if a := r.arena; a != nil {
-		if cap(a.states) < n {
-			a.states = make([]tenantState, n)
+// setup dimensions the replay state for the profiles on a's working
+// memory. Every window is validated before any tenant takes a channel, so
+// a rejected population holds nothing.
+func (r *replayer) setup(profiles []*Profile, a *replayArena) error {
+	for _, p := range profiles {
+		if err := p.Tenant.validateWindow(); err != nil {
+			return err
 		}
-		r.states = a.states[:n]
-		if cap(a.channels) < n {
-			a.channels = append(a.channels[:cap(a.channels)], make([]*logbuf.Channel, n-cap(a.channels))...)
-		}
-		a.channels = a.channels[:n]
-		r.views = a.views
-		r.cores = a.cores[:0]
-		r.busy = a.busy
-		r.warmth = &a.warmth
-		r.ring = &a.ring
-	} else {
-		r.states = make([]tenantState, n)
-		r.ring = &windowRing{}
 	}
+	n := len(profiles)
+	if cap(a.states) < n {
+		a.states = make([]tenantState, n)
+	}
+	r.states = a.states[:n]
+	r.ring = &a.ring
 	window := DefaultStepWindow
 	if r.opts.window > 0 {
 		window = r.opts.window
 	}
 	r.ring.reset(window)
 	for i, p := range profiles {
-		if err := p.Tenant.validateWindow(); err != nil {
-			return err
-		}
 		arrive, depart := p.Tenant.ArriveAt, p.Tenant.DepartAfter
 		if arrive > 0 || depart > 0 {
 			r.churned = true
 		}
-		var ch *logbuf.Channel
-		if r.arena != nil && r.arena.channels[i] != nil {
-			ch = r.arena.channels[i]
-			ch.Reset(p.Tenant.Config.Channel)
-		} else {
-			ch = logbuf.New(p.Tenant.Config.Channel)
-			if r.arena != nil {
-				r.arena.channels[i] = ch
-			}
-		}
 		r.states[i] = tenantState{
 			prof:   p,
-			ch:     ch,
+			ch:     logbuf.Get(p.Tenant.Config.Channel),
 			arrive: arrive,
 			depart: depart,
 		}
 		r.states[i].cur.open(p.tl, r.ring.get(), arrive, depart)
 	}
-	r.views = r.pool.tenantViewsInto(r.views, n)
+	a.views = r.pool.tenantViewsInto(a.views, n)
+	r.views = a.views
 	for i := range r.states {
 		ts := &r.states[i]
 		// A tenant with an empty timeline must not sit in the rankings as
@@ -592,28 +565,22 @@ func (r *replayer) setup(profiles []*Profile) error {
 		r.views[i].Absent = ts.arrive > 0
 		r.views[i].TransportLatency = ts.ch.Config().TransportLatency
 	}
-	if r.warmth != nil {
-		r.warmth.reset(r.pool.Cores, n)
-	} else {
-		r.warmth = newWarmthModel(r.pool.Cores, n)
-	}
+	r.warmth = &a.warmth
+	r.warmth.reset(r.pool.Cores, n)
 	r.warmth.setHalfLives(r.opts.halfLifeBytes, r.opts.idleHalfLifeCycles)
-	if cap(r.cores) < r.pool.Cores {
-		r.cores = make([]CoreView, r.pool.Cores)
+	if cap(a.cores) < r.pool.Cores {
+		a.cores = make([]CoreView, r.pool.Cores)
 	}
-	r.cores = r.cores[:r.pool.Cores]
+	r.cores = a.cores[:r.pool.Cores]
 	for c := range r.cores {
 		r.cores[c] = CoreView{LastTenant: -1}
 	}
-	if cap(r.busy) < r.pool.Cores {
-		r.busy = make([]uint64, r.pool.Cores)
+	if cap(a.busy) < r.pool.Cores {
+		a.busy = make([]uint64, r.pool.Cores)
 	}
-	r.busy = r.busy[:r.pool.Cores]
+	r.busy = a.busy[:r.pool.Cores]
 	for c := range r.busy {
 		r.busy[c] = 0
-	}
-	if a := r.arena; a != nil {
-		a.views, a.cores, a.busy = r.views, r.cores, r.busy
 	}
 
 	// Arrival agenda: tenant indices in arrival order. The merge processes
@@ -621,20 +588,14 @@ func (r *replayer) setup(profiles []*Profile) error {
 	// grow), so a single cursor flips tenants to present as the replay
 	// clock passes their arrivals.
 	if r.churned {
-		if r.arena != nil {
-			r.agenda = resetInts(r.arena.agenda, n, 0)
-			r.arena.agenda = r.agenda
-		} else {
-			r.agenda = make([]int, n)
-		}
+		a.agenda = resetInts(a.agenda, n, 0)
+		r.agenda = a.agenda
 		for i := range r.agenda {
 			r.agenda[i] = i
 		}
-		sort.SliceStable(r.agenda, func(a, b int) bool {
-			return r.states[r.agenda[a]].arrive < r.states[r.agenda[b]].arrive
+		sort.SliceStable(r.agenda, func(i, j int) bool {
+			return r.states[r.agenda[i]].arrive < r.states[r.agenda[j]].arrive
 		})
-	} else {
-		r.agenda = nil
 	}
 	return nil
 }
@@ -693,115 +654,16 @@ func (r *replayer) retire(ti int) {
 }
 
 // refresh updates the requester-relative slices of the live views before
-// a per-record Pick: the channel's in-order consumption floor and, per
-// core, the requesting tenant's warmth there. The batched path calls it
+// a scheduling decision: the channel's in-order consumption floor and,
+// per core, the requesting tenant's warmth there. runBatched calls it
 // only at the start of a warmth-sensitive scheduler's run — the per-core
-// warmth walk on every record is exactly the overhead batching removes.
+// warmth walk on every record is exactly the overhead batching removes;
+// the per-record reference in the tests calls it before every Pick.
 func (r *replayer) refresh(ti int) {
 	r.views[ti].ChannelFree = r.states[ti].ch.LifeguardFinish()
 	for c := range r.cores {
 		r.cores[c].Warmth = r.warmth.warmth(c, ti)
 		r.cores[c].LastTenant = r.warmth.lastTenant(c)
-	}
-}
-
-// commit lands a scheduling decision: charge the migration cost of the
-// chosen core's coldness, then warm it — the record lands in whatever
-// shadow state the core has *before* this serve, aged first by any idle
-// vacancy on a churned replay (warmthModel.idleDecay; fixed-set warmth
-// stays purely assignment-driven, never clock-driven), so a zero penalty
-// leaves timing bit-for-bit unchanged. This is the reference form of the
-// per-record accounting: runBatched carries a hand-inlined copy (fused
-// warmth pass, hoisted state) that must stay in lockstep with it, and the
-// differential dispatch test pins the two byte-identical. Only
-// runPerRecord calls it.
-func (r *replayer) commit(ti, core int, now uint64, req Request) error {
-	if core < 0 || core >= r.pool.Cores {
-		return fmt.Errorf("tenant: scheduler %s picked core %d of %d", r.sched.Name(), core, r.pool.Cores)
-	}
-	ts := &r.states[ti]
-	if r.churned && now > r.cores[core].FreeAt {
-		r.warmth.idleDecay(core, now-r.cores[core].FreeAt)
-	}
-	charge := migrationCharge(r.pool.MigrationPenalty, r.warmth.warmth(core, ti))
-	migrated := r.warmth.serve(core, ti, req.Bits)
-	cost := req.Cost + charge
-	stall, finish := ts.ch.ProduceAt(now, req.Bits, cost, r.cores[core].FreeAt)
-	ts.offset += stall
-	r.cores[core].FreeAt = finish
-	r.busy[core] += cost
-	ts.lags.add(finish - now)
-
-	v := &r.views[ti]
-	v.Records++
-	v.ServedBits += req.Bits
-	v.ServedCost += cost
-	v.LastLagCycles = finish - now
-	if r.pool.MigrationPenalty > 0 {
-		if migrated {
-			v.Migrations++
-		}
-		v.ColdServeCycles += charge
-	}
-	v.Done = ts.done()
-	if ts.depart != 0 {
-		r.retire(ti) // only departing tenants can retire; skip the call otherwise
-	}
-	if r.opts.obs != nil {
-		r.opts.obs(ti, core, req, charge, finish)
-	}
-	return nil
-}
-
-// runPerRecord is the reference merge loop: one full O(tenants) scan and
-// one scheduler Pick (with a full view refresh) per record — the code
-// shape the replay had before the batched fast path existed.
-func (r *replayer) runPerRecord() error {
-	for {
-		// Merge by adjusted production time; ties break toward the lowest
-		// tenant index, and a tenant's own steps stay strictly in order.
-		ti := -1
-		var tmin uint64
-		for i := range r.states {
-			ts := &r.states[i]
-			if ts.done() {
-				continue
-			}
-			if n := ts.next(); ti < 0 || n < tmin {
-				ti, tmin = i, n
-			}
-		}
-		if ti < 0 {
-			return nil
-		}
-		ts := &r.states[ti]
-		s := ts.cur.head()
-		ts.cur.advance()
-		// A refill just reset the cursor to the window's start: the
-		// once-per-window cancellation point.
-		if ts.cur.pos == 0 && r.cancelled() {
-			return r.ctx.Err()
-		}
-		now := s.cycle + ts.arrive + ts.offset
-		if r.arrivals < len(r.agenda) {
-			r.flipArrivals(now)
-		}
-		if s.bits == drainMark {
-			// Syscall containment: this tenant waits for its own channel
-			// only; other tenants are unaffected (per-application
-			// containment, as in the paper).
-			ts.offset += ts.ch.Drain(now)
-			r.views[ti].Done = ts.done()
-			if ts.depart != 0 {
-				r.retire(ti)
-			}
-			continue
-		}
-		r.refresh(ti)
-		req := Request{Tenant: ti, Ready: now, Bits: uint64(s.bits), Cost: uint64(s.cost)}
-		if err := r.commit(ti, r.sched.Pick(req, r.cores, r.views), now, req); err != nil {
-			return err
-		}
 	}
 }
 
@@ -815,8 +677,9 @@ func (r *replayer) runPerRecord() error {
 // record costs O(1) merge work instead of a fresh O(tenants) scan.
 // Record dispatch inside a run goes through the scheduler's BeginRun and
 // PickNext (no per-core warmth refresh, incremental ranks); every
-// decision is, by construction, the one the per-record loop would have
-// made.
+// decision is, by construction, the one a per-record loop (one scan and
+// one Pick per record, the reference kept in reference_test.go) would
+// have made. It is the only merge loop outside the tests.
 func (r *replayer) runBatched() error {
 	// Replay-stable state, hoisted so the in-run loop reloads nothing
 	// through r after opaque calls.
@@ -863,8 +726,8 @@ func (r *replayer) runBatched() error {
 				break
 			}
 			cur.advance()
-			// Once-per-window cancellation point, as in runPerRecord: a
-			// refill resets the cursor position to the window's start.
+			// Once-per-window cancellation point: a refill resets the
+			// cursor position to the window's start.
 			if cur.pos == 0 && r.cancelled() {
 				return r.ctx.Err()
 			}
@@ -875,8 +738,10 @@ func (r *replayer) runBatched() error {
 				sched.BeginRun(ti, cores, views)
 			}
 			if s.bits == drainMark {
-				// Syscall containment, as in runPerRecord. A drain only
-				// moves the leader's own clock, so the run survives it.
+				// Syscall containment: this tenant waits for its own
+				// channel only; other tenants are unaffected
+				// (per-application containment, as in the paper). A drain
+				// only moves the leader's own clock, so the run survives it.
 				ts.offset += ts.ch.Drain(now)
 				v.Done = ts.done()
 				if ts.depart != 0 {
@@ -887,12 +752,13 @@ func (r *replayer) runBatched() error {
 			req := Request{Tenant: ti, Ready: now, Bits: uint64(s.bits), Cost: uint64(s.cost)}
 			v.ChannelFree = ts.ch.LifeguardFinish()
 			core := sched.PickNext(req, cores, views)
-			// What follows is commit(), hand-inlined so the per-record
-			// accounting runs on hoisted state with no call overhead —
-			// profiling showed the call and the post-call reloads as the
-			// largest cost left in the loop (folding it back measured up
-			// to 1.3x slower). Keep it in lockstep with commit; the
-			// differential dispatch test pins the two paths byte-identical.
+			// What follows is the reference's commit (reference_test.go),
+			// hand-inlined so the per-record accounting runs on hoisted
+			// state with no call overhead — profiling showed the call and
+			// the post-call reloads as the largest cost left in the loop
+			// (folding it back measured up to 1.3x slower). Keep it in
+			// lockstep with commit; the differential dispatch test pins
+			// the two byte-identical.
 			if core < 0 || core >= len(cores) {
 				return fmt.Errorf("tenant: scheduler %s picked core %d of %d", r.sched.Name(), core, r.pool.Cores)
 			}
@@ -954,10 +820,10 @@ func (r *replayer) runBatched() error {
 	}
 }
 
-// finish assembles the PoolResult after the merge has drained. Shared by
-// the batched and per-record paths, and must not retain arena-owned
-// memory: slices that outlive the replay (per-core busy cycles, the
-// warmth snapshot) are copied out.
+// finish assembles the PoolResult after the merge has drained. Shared
+// with the per-record reference, and must not retain arena-owned memory
+// or a channel: slices that outlive the replay (per-core busy cycles, the
+// warmth snapshot) are copied out, and end returns the channels after it.
 func (r *replayer) finish() *PoolResult {
 	// Departing tenants whose active window held no steps at all were
 	// never touched by the merge; retire them now so every departure has
@@ -1047,14 +913,6 @@ func (r *replayer) finish() *PoolResult {
 		res.Tenants = append(res.Tenants, tr)
 	}
 	res.aggregate()
-
-	// Return every decoded window to the ring (retired tenants already
-	// did) and drop the cursors' sources, so an arena-held state never
-	// retains a window or a reference into a memoized profile's segments
-	// beyond the replay.
-	for i := range r.states {
-		r.states[i].cur.close(r.ring)
-	}
 	return res
 }
 

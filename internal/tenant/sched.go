@@ -157,8 +157,9 @@ type CoreView struct {
 // The production replay groups consecutive records of one tenant into
 // runs: BeginRun is called once when a run starts (and again mid-run if a
 // tenant arrival changes the live-tenant set), then PickNext once per
-// record. PickNext must return exactly the core Pick would — the batched
-// and per-record replays are pinned byte-identical — but it may reuse
+// record. PickNext must return exactly the core Pick would — the
+// production replay is pinned byte-identical to the per-record reference
+// in the tests — but it may reuse
 // rank state computed in BeginRun, because during a run the scheduler's
 // inputs are frozen except for:
 //

@@ -256,7 +256,7 @@ func TestShardedResultShape(t *testing.T) {
 		t.Errorf("one-tenant replay at Shards 2 reports Shards = %d; the plan clamps to one shard", clamped.Shards)
 	}
 
-	if _, err := ReplayPoolReference(context.Background(), profiles, pool); err == nil {
+	if _, err := replayReference(context.Background(), profiles, pool); err == nil {
 		t.Error("the per-record reference should reject a sharded pool")
 	}
 }

@@ -165,7 +165,7 @@ func TestStreamingReplayMatchesMaterialised(t *testing.T) {
 							t.Errorf("%s: streaming and materialised results diverge\nstreaming:    %s\nmaterialised: %s", label, a, b)
 						}
 						if shards == 1 {
-							oracle, err := ReplayPoolReference(context.Background(), slice, pool)
+							oracle, err := replayReference(context.Background(), slice, pool)
 							if err != nil {
 								t.Fatalf("%s: per-record replay: %v", label, err)
 							}

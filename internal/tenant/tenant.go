@@ -102,14 +102,14 @@
 // entry point, ReplayPool (what Engine.RunPool calls). It groups
 // consecutive same-tenant records into runs so schedulers amortise their
 // ranking work per run (Scheduler.BeginRun and PickNext) instead of per
-// record, and draws its working memory from a pooled arena
-// so steady-state replays allocate only their results
-// (logbuf.Channel.Reset is the channel-reuse hook). ReplayPoolReference
-// is the per-record reference — one Pick per record, fresh buffers — kept
-// as the differential oracle the batched path is pinned deep-equal
-// against. BenchmarkReplay and `lbabench -bench replay` measure the
-// production path; docs/performance.md documents the schema and the
-// profiling recipes.
+// record, and draws its working memory from a pooled arena and its
+// channels from logbuf.Get, so steady-state replays allocate only their
+// results. The per-record reference — one Pick per record, fresh buffers
+// — lives in the package's tests, as the differential oracle the
+// production path is pinned deep-equal against, on unit inputs and on
+// every unsharded pool row of the scenario corpus. BenchmarkReplay and
+// `lbabench -bench replay` measure the production path;
+// docs/performance.md documents the schema and the profiling recipes.
 //
 // A pool with PoolConfig.Shards > 1 (`-shards` on the commands) takes the
 // multi-core half of the fast path: the pool splits into K statically-

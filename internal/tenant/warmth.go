@@ -67,11 +67,12 @@ func factorTable(halfLife float64) (t [factorCacheBits]float64) {
 // keeps fixed-set trajectories — and the fixed-set provability argument —
 // exactly as before).
 //
-// serve runs once per replayed record, so the model is written for the
-// hot path: warmth lives in one flat row-major [core*stride+tenant] slice
-// (one allocation, cache-friendly row walks), and the 2^(-b/H) factor —
-// a transcendental that profiling showed dominating the whole replay — is
-// precomputed per record size in defaultFactors. math.Exp2 is
+// A serve (inlined in runBatched; serve in the tests is its reference
+// form) runs once per replayed record, so the model is written for the
+// hot path: warmth lives in one flat row-major [core*stride+tenant]
+// slice (one allocation, cache-friendly row walks), and the 2^(-b/H)
+// factor — a transcendental that profiling showed dominating the whole
+// replay — is precomputed per record size in defaultFactors. math.Exp2 is
 // deterministic, so a table entry is bit-identical to recomputing it and
 // results cannot change; reset lets a replay arena reuse the slices run
 // over run.
@@ -83,12 +84,6 @@ type warmthModel struct {
 	stride       int                       // tenants per row
 	lastCore     []int                     // [tenant] core that served the tenant last, -1 if none
 	lastTen      []int                     // [core] tenant served most recently, -1 if none
-}
-
-func newWarmthModel(cores, tenants int) *warmthModel {
-	m := &warmthModel{}
-	m.reset(cores, tenants)
-	return m
 }
 
 // reset re-dimensions the model for a replay of cores x tenants at the
@@ -161,36 +156,12 @@ func (m *warmthModel) warmth(core, tenant int) float64 { return m.warm[core*m.st
 // core is untouched).
 func (m *warmthModel) lastTenant(core int) int { return m.lastTen[core] }
 
-// serve records that the core consumed bits of the tenant's log: the
-// tenant warms toward 1, every co-resident tenant decays, and the
-// tenant's last-core pointer advances. It reports whether this serve was
-// a migration — the tenant's previous record went to a different core.
-func (m *warmthModel) serve(core, tenant int, bits uint64) (migrated bool) {
-	f := m.factor(bits)
-	d := 1 - f
-	row := m.warm[core*m.stride : core*m.stride+m.stride]
-	// Split at the served tenant so the decay walks run branch-free; the
-	// float expressions are unchanged, so the trajectory is bit-identical
-	// to the single branchy loop.
-	for u := range row[:tenant] {
-		row[u] *= d
-	}
-	row[tenant] += (1 - row[tenant]) * f
-	for u := tenant + 1; u < len(row); u++ {
-		row[u] *= d
-	}
-	migrated = m.lastCore[tenant] >= 0 && m.lastCore[tenant] != core
-	m.lastCore[tenant] = core
-	m.lastTen[core] = tenant
-	return migrated
-}
-
 // idleDecay ages every tenant's warmth on a core that sat idle for the
 // given wall-clock span: the whole row decays by 2^(-idle/idleHalfLife).
-// The replay calls it only on churned replays (see the model doc), from
-// both dispatch paths with identical float operations, immediately before
-// a serve lands on a core whose last finish predates the record — so the
-// migration charge prices the post-vacancy warmth. A uniform scale can
+// The replay calls it only on churned replays (see the model doc), with
+// the same float operations as its per-record reference, immediately
+// before a serve lands on a core whose last finish predates the record —
+// so the migration charge prices the post-vacancy warmth. A uniform scale can
 // only lower the per-core warmth total, preserving the conservation
 // invariant (sum <= 1), and it never reorders tenants within the row.
 func (m *warmthModel) idleDecay(core int, idle uint64) {

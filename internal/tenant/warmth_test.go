@@ -10,6 +10,14 @@ import (
 	"testing"
 )
 
+// newWarmthModel returns a model reset for cores x tenants at the default
+// half-lives.
+func newWarmthModel(cores, tenants int) *warmthModel {
+	m := &warmthModel{}
+	m.reset(cores, tenants)
+	return m
+}
+
 func TestMigrationCharge(t *testing.T) {
 	cases := []struct {
 		penalty uint64
