@@ -26,6 +26,7 @@ race:
 	$(GO) test -race -count=1 ./internal/serve
 	$(GO) test -race -count=10 -run 'Cancel|Admission' ./internal/tenant ./internal/serve
 	$(GO) test -race -count=1 -run 'TestSched|TestReplayInvariants|TestPlanAdmission|TestWFQ|TestPriority|TestDeadline|TestAffinity|TestChurn|TestPropertyBisection|TestApplyChurn|TestPeakConcurrency|TestSharded|TestShardPlan|TestStreaming|TestTimelineRoundTrip|TestStepCursorWindows|TestWindowRingRecycle|TestRecorderWidthContract|FuzzSegmentCodec|TestRetireShortcutMatchesWalk' ./internal/tenant
+	$(GO) test -race -count=5 -run 'TestRunPoolStreamingMatchesFinished|TestRunPoolProfileFailsMidStream|TestRunPoolAdoptsProfileClaimedElsewhere' ./internal/tenant
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/vpc

@@ -173,6 +173,27 @@ func (m *Memo[V]) evictLocked() {
 	}
 }
 
+// Get returns the completed value for key as a hit of Do would — counted
+// in Hits, and moved to the back of a bounded table's recency order —
+// without blocking. ok is false, and nothing is counted, when the key is
+// absent or still in flight: the caller then goes through Do, which
+// counts the claim or the wait exactly once.
+func (m *Memo[V]) Get(key string) (V, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if ent, ok := m.cache[key]; ok {
+		select {
+		case <-ent.done:
+			m.touchLocked(key)
+			m.hits.Add(1)
+			return ent.val, true
+		default:
+		}
+	}
+	var zero V
+	return zero, false
+}
+
 // Peek returns the completed value for key without blocking; ok is false
 // when the key is absent or still in flight. A completed entry still in
 // the table is a success: failures leave it before their done closes.

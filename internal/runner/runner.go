@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/prog"
 	"repro/internal/workloads"
 )
 
@@ -115,6 +116,22 @@ func (e *Engine) CacheMisses() uint64 { return e.memo.Misses() }
 // has started always runs to completion (runs are short relative to a
 // matrix; per-job granularity is where cancellation applies).
 func (e *Engine) Run(ctx context.Context, job Job) (*core.Result, error) {
+	return e.run(ctx, job, e.runFn)
+}
+
+// RunProgram is Run for a caller that has already built the job's
+// program (its Benchmark at its Workload): the job is memoized and
+// counted under the same key, but a miss executes p instead of building
+// the program again. p is only read, so the caller may run it
+// concurrently elsewhere (the tenant engine profiles the same build
+// beside the baseline).
+func (e *Engine) RunProgram(ctx context.Context, job Job, p *prog.Program) (*core.Result, error) {
+	return e.run(ctx, job, func(j Job) (*core.Result, error) {
+		return core.Run(j.Mode, p, j.Lifeguard, j.Config)
+	})
+}
+
+func (e *Engine) run(ctx context.Context, job Job, fn func(Job) (*core.Result, error)) (*core.Result, error) {
 	norm := job.normalized()
 	key := HashKey(norm)
 	e.mu.Lock()
@@ -123,7 +140,7 @@ func (e *Engine) Run(ctx context.Context, job Job) (*core.Result, error) {
 	}
 	e.mu.Unlock()
 	return e.memo.Do(ctx, key, func() (*core.Result, error) {
-		return e.runFn(norm)
+		return fn(norm)
 	})
 }
 

@@ -351,7 +351,7 @@ func (ts *tenantState) done() bool { return ts.cur.done() }
 // activeApp is the tenant's app-clock span inside its active window,
 // relative to its own start (the departure truncates a longer run).
 func (ts *tenantState) activeApp() uint64 {
-	app := ts.prof.Result.AppCycles
+	app := ts.prof.complete().Result.AppCycles
 	if ts.depart > 0 && ts.depart-ts.arrive < app {
 		app = ts.depart - ts.arrive
 	}
@@ -375,10 +375,16 @@ func ReplayPool(ctx context.Context, profiles []*Profile, pool PoolConfig) (*Poo
 	if err := pool.Validate(); err != nil {
 		return nil, err
 	}
+	return replayValidated(ctx, profiles, pool, replayOpts{})
+}
+
+// replayValidated is ReplayPool for a pool already validated, with the
+// test seam: the sharded path when pool.Shards > 1, else the global one.
+func replayValidated(ctx context.Context, profiles []*Profile, pool PoolConfig, opts replayOpts) (*PoolResult, error) {
 	if pool.Shards > 1 {
-		return replaySharded(ctx, profiles, pool, replayOpts{})
+		return replaySharded(ctx, profiles, pool, opts)
 	}
-	return replayMode(ctx, profiles, pool, replayOpts{})
+	return replayMode(ctx, profiles, pool, opts)
 }
 
 // replayArena is one replay's reusable working memory. Replays run per
@@ -631,8 +637,8 @@ func (r *replayer) retire(ti int) {
 	}
 	ts.appFinal = ts.arrive + ts.activeApp() + ts.offset
 	ts.releaseWall = ts.ch.Finish(ts.appFinal)
-	if ts.depart-ts.arrive >= ts.prof.Result.AppCycles {
-		ts.dedicated = ts.prof.DedicatedWall
+	if p := ts.prof.complete(); ts.depart-ts.arrive >= p.Result.AppCycles {
+		ts.dedicated = p.DedicatedWall
 	} else {
 		// Replay the truncated window on a dedicated channel through a
 		// fresh cursor over the same encoded timeline (the cursor's churn
@@ -691,6 +697,12 @@ func (r *replayer) runBatched() error {
 	// is per-replay, not per-type: wfq and priority read warmth only when
 	// the migration model prices their rank tie-break.
 	warmBatch := sched.WarmthSensitive()
+	// A cursor over a timeline still being recorded blocks in setup until
+	// its first segment exists, and wakes empty if the replay is cancelled
+	// meanwhile; abort before serving anything then.
+	if r.cancelled() {
+		return r.ctx.Err()
+	}
 	for {
 		ti, j2 := -1, -1
 		var tmin, t2 uint64
@@ -847,7 +859,7 @@ func (r *replayer) finish() *PoolResult {
 	views, churned := r.views, r.churned
 	for i := range r.states {
 		ts := &r.states[i]
-		p := ts.prof
+		p := ts.prof.complete()
 		appFinal := p.Result.AppCycles + ts.arrive + ts.offset
 		dedicated := p.DedicatedWall
 		records, logBits := p.Result.Records, p.Result.LogBits

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/logbuf"
-	"repro/internal/workloads"
+	"repro/internal/prog"
 )
 
 // drainMark distinguishes a syscall-containment step from a record step
@@ -46,6 +46,25 @@ type Profile struct {
 	// no pool floor) — the contention-factor denominator. By the
 	// decomposition contract it equals core.RunLBA's WallCycles.
 	DedicatedWall uint64
+
+	// ready is closed once Result, Base and DedicatedWall hold their final
+	// values; it is nil for every finished profile. Only the profiles
+	// Engine.RunPool replays while they are still being recorded carry
+	// one (their tl is a streamTimeline), and those never leave RunPool.
+	ready chan struct{}
+}
+
+// complete returns p once its producer has filled Result, Base and
+// DedicatedWall: at once for a finished profile, after the wait for one
+// still being recorded. The replay reads those fields only through it.
+// A profile whose producer failed completes with zero-valued results,
+// after the replay's context has been cancelled, so whatever the replay
+// computes from them is discarded.
+func (p *Profile) complete() *Profile {
+	if p.ready != nil {
+		<-p.ready
+	}
+	return p
 }
 
 // Steps reports the timeline length (records + drain points).
@@ -67,15 +86,26 @@ func (p *Profile) TimelineBytes() int {
 }
 
 // recorder implements core.TransportObserver by encoding steps into
-// timeline segments as they arrive. The observer interface cannot return
-// errors, so width-contract violations latch into err and profiling fails
-// when buildProfile checks it: a record whose compressed size reached
-// drainMark would otherwise be misread as a syscall drain at replay, and
-// an over-wide cost would silently wrap (the bug this replaces narrowed
-// both with unchecked uint32 conversions).
+// timeline segments as they arrive, and computes the dedicated-core wall
+// online: each step also goes through a private channel with no pool
+// floor, exactly as dedicatedWall would replay it after the run, so the
+// finished profile needs no second walk of its timeline. The observer
+// interface cannot return errors, so width-contract violations latch
+// into err and profiling fails when buildProfile checks it: a record
+// whose compressed size reached drainMark would otherwise be misread as a
+// syscall drain at replay, and an over-wide cost would silently wrap (the
+// bug this replaces narrowed both with unchecked uint32 conversions).
 type recorder struct {
-	enc timelineEncoder
-	err error
+	enc   timelineEncoder
+	clock dedicatedClock // over a pooled channel (logbuf.Get)
+	err   error
+}
+
+// newRecorder returns a recorder whose dedicated clock runs on a pooled
+// channel configured as cfg; out, when non-nil, receives every flushed
+// segment. finish or release returns the channel.
+func newRecorder(cfg logbuf.Config, out *streamTimeline) *recorder {
+	return &recorder{enc: timelineEncoder{out: out}, clock: dedicatedClock{ch: logbuf.Get(cfg)}}
 }
 
 func (r *recorder) Record(appCycle, bits, lgCost uint64) {
@@ -90,39 +120,55 @@ func (r *recorder) Record(appCycle, bits, lgCost uint64) {
 		r.err = fmt.Errorf("tenant: record at app cycle %d costs %d lifeguard cycles; the step encoding carries at most %d", appCycle, lgCost, maxStepCost)
 		return
 	}
-	r.err = r.enc.append(step{cycle: appCycle, bits: uint32(bits), cost: uint32(lgCost)})
+	r.add(step{cycle: appCycle, bits: uint32(bits), cost: uint32(lgCost)})
 }
 
 func (r *recorder) Syscall(appCycle uint64) {
 	if r.err != nil {
 		return
 	}
-	r.err = r.enc.append(step{cycle: appCycle, bits: drainMark})
+	r.add(step{cycle: appCycle, bits: drainMark})
 }
 
-// buildProfile runs one tenant uncontended and packages its timeline.
-// base is the tenant's unmonitored baseline result.
-func buildProfile(t Tenant, base *core.Result) (*Profile, error) {
-	spec, err := workloads.ByName(t.Benchmark)
-	if err != nil {
-		return nil, fmt.Errorf("tenant %q: %w", t.Name, err)
+// add encodes s and advances the dedicated clock by it.
+func (r *recorder) add(s step) {
+	if r.err = r.enc.append(s); r.err == nil {
+		r.clock.step(s)
 	}
-	rec := &recorder{}
-	res, err := core.ProfileLBA(spec.Build(t.Workload), t.Lifeguard, t.Config, rec)
+}
+
+// finish closes the recording of a run whose app clock ended at
+// appCycles: the timeline and its dedicated-core wall. It releases the
+// channel.
+func (r *recorder) finish(appCycles uint64) (*segTimeline, uint64) {
+	wall := r.clock.wall(appCycles)
+	r.release()
+	return r.enc.finish(), wall
+}
+
+// release returns the channel to the pool.
+func (r *recorder) release() {
+	if r.clock.ch != nil {
+		logbuf.Put(r.clock.ch)
+		r.clock.ch = nil
+	}
+}
+
+// buildProfile runs one tenant uncontended on its built program and
+// packages its timeline; out, when non-nil, receives the timeline's
+// segments as they are recorded. The caller sets Base.
+func buildProfile(t Tenant, program *prog.Program, out *streamTimeline) (*Profile, error) {
+	rec := newRecorder(t.Config.Channel, out)
+	defer rec.release()
+	res, err := core.ProfileLBA(program, t.Lifeguard, t.Config, rec)
 	if err != nil {
 		return nil, fmt.Errorf("tenant %q: %w", t.Name, err)
 	}
 	if rec.err != nil {
 		return nil, fmt.Errorf("tenant %q: %w", t.Name, rec.err)
 	}
-	tl := rec.enc.finish()
-	return &Profile{
-		Tenant:        t,
-		tl:            tl,
-		Result:        res,
-		Base:          base,
-		DedicatedWall: dedicatedWall(tl, t.Config.Channel, res.AppCycles),
-	}, nil
+	tl, wall := rec.finish(res.AppCycles)
+	return &Profile{Tenant: t, tl: tl, Result: res, DedicatedWall: wall}, nil
 }
 
 // SyntheticStep is one generated entry of a synthetic timeline: either a
@@ -203,7 +249,7 @@ func dedicatedWall(tl Timeline, cfg logbuf.Config, appCycles uint64) uint64 {
 // re-checks the context before assembling any result, so a cancelled
 // retirement can never leak a truncated clock into a PoolResult.
 func dedicatedWallOn(ch *logbuf.Channel, cur *stepCursor, appCycles uint64, done <-chan struct{}) uint64 {
-	var offset uint64
+	clock := dedicatedClock{ch: ch}
 	for !cur.done() {
 		s := cur.head()
 		cur.advance()
@@ -214,13 +260,34 @@ func dedicatedWallOn(ch *logbuf.Channel, cur *stepCursor, appCycles uint64, done
 			default:
 			}
 		}
-		now := s.cycle + offset
-		if s.bits == drainMark {
-			offset += ch.Drain(now)
-			continue
-		}
-		stall, _ := ch.ProduceAt(now, uint64(s.bits), uint64(s.cost), 0)
-		offset += stall
+		clock.step(s)
 	}
-	return ch.Finish(appCycles + offset)
+	return clock.wall(appCycles)
+}
+
+// dedicatedClock is a tenant's wall clock on a dedicated lifeguard core,
+// advanced one timeline step at a time: the application produces into
+// its private channel with no pool floor, and every stall the channel
+// imposes (backpressure, a syscall drain) shifts the rest of the
+// timeline. dedicatedWallOn walks a recorded timeline through one; the
+// recorder advances one as it records.
+type dedicatedClock struct {
+	ch     *logbuf.Channel
+	offset uint64 // accumulated stalls
+}
+
+func (d *dedicatedClock) step(s step) {
+	now := s.cycle + d.offset
+	if s.bits == drainMark {
+		d.offset += d.ch.Drain(now)
+		return
+	}
+	stall, _ := d.ch.ProduceAt(now, uint64(s.bits), uint64(s.cost), 0)
+	d.offset += stall
+}
+
+// wall closes the channel at the application's final cycle and returns
+// the wall clock.
+func (d *dedicatedClock) wall(appCycles uint64) uint64 {
+	return d.ch.Finish(appCycles + d.offset)
 }

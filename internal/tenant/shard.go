@@ -67,7 +67,7 @@ func planShards(profiles []*Profile, pool PoolConfig) []shardSpec {
 	}
 	loads := make([]uint64, len(profiles))
 	for i, p := range profiles {
-		loads[i] = p.Result.LgCycles
+		loads[i] = p.complete().Result.LgCycles
 		// A zero-cost timeline still occupies a tenant slot; clamping to
 		// one load unit makes the greedy fill every shard before doubling
 		// up (k <= tenants), so no shard is ever empty.

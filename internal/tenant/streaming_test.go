@@ -10,6 +10,8 @@ import (
 	"runtime/debug"
 	"sort"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // sliceTimeline is the materialised []step timeline — the pre-streaming
@@ -231,7 +233,8 @@ func TestTimelineRoundTrip(t *testing.T) {
 // wrapped large costs.
 func TestRecorderWidthContract(t *testing.T) {
 	t.Run("valid-extremes", func(t *testing.T) {
-		rec := &recorder{}
+		rec := newRecorder(core.DefaultConfig().Channel, nil)
+		defer rec.release()
 		rec.Record(5, maxStepBits, maxStepCost)
 		rec.Syscall(6)
 		rec.Record(6, 0, 0)
@@ -249,28 +252,32 @@ func TestRecorderWidthContract(t *testing.T) {
 		}
 	})
 	t.Run("bits-at-sentinel", func(t *testing.T) {
-		rec := &recorder{}
+		rec := newRecorder(core.DefaultConfig().Channel, nil)
+		defer rec.release()
 		rec.Record(1, uint64(drainMark), 10)
 		if rec.err == nil {
 			t.Fatal("a drainMark-sized record was accepted (would replay as a syscall drain)")
 		}
 	})
 	t.Run("bits-beyond-32", func(t *testing.T) {
-		rec := &recorder{}
+		rec := newRecorder(core.DefaultConfig().Channel, nil)
+		defer rec.release()
 		rec.Record(1, 1<<33, 10)
 		if rec.err == nil {
 			t.Fatal("a 2^33-bit record was accepted (old code narrowed it mod 2^32)")
 		}
 	})
 	t.Run("cost-beyond-32", func(t *testing.T) {
-		rec := &recorder{}
+		rec := newRecorder(core.DefaultConfig().Channel, nil)
+		defer rec.release()
 		rec.Record(1, 64, 1<<32)
 		if rec.err == nil {
 			t.Fatal("a 2^32-cycle cost was accepted (old code wrapped it to 0)")
 		}
 	})
 	t.Run("non-monotone-clock", func(t *testing.T) {
-		rec := &recorder{}
+		rec := newRecorder(core.DefaultConfig().Channel, nil)
+		defer rec.release()
 		rec.Record(100, 64, 10)
 		rec.Record(99, 64, 10)
 		if rec.err == nil {
@@ -278,7 +285,8 @@ func TestRecorderWidthContract(t *testing.T) {
 		}
 	})
 	t.Run("errors-latch", func(t *testing.T) {
-		rec := &recorder{}
+		rec := newRecorder(core.DefaultConfig().Channel, nil)
+		defer rec.release()
 		rec.Record(1, uint64(drainMark), 10)
 		first := rec.err
 		rec.Record(2, 64, 10)

@@ -25,6 +25,18 @@
 // byte-identical to the serial reference run — the same contract the
 // experiment runner gives figure matrices.
 //
+// Engine.RunPool overlaps the two stages the way the paper's lifeguard
+// core consumes the log while the application core produces it: a
+// tenant the memo already holds is replayed from its finished profile,
+// and one it does not is replayed from its timeline while the profiling
+// run is still recording it (the baseline runs beside the profile on
+// its own goroutine, from the same program build). The replay blocks
+// only where it has caught up with the recording, reads the profile's
+// results once the run completes, and consumes exactly the finished
+// timeline's steps, so the result equals a replay of the finished
+// profiles. Only finished profiles enter the memo, and RunPool returns
+// once every profiling run it started has finished.
+//
 // The timeline between the stages is streamed, never materialised: the
 // profiling recorder delta-encodes steps into fixed-size varint
 // segments (~3 B/step, validating the 32-bit width contract at the

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // This file is the bounded-window timeline pipeline. Profiling no longer
@@ -164,7 +165,8 @@ func uvarintAt(seg []byte, off int, msg string) (uint64, int) {
 // holds one in-progress segment buffer plus the finished exact-size
 // segments — never the decoded timeline.
 type timelineEncoder struct {
-	segSteps int // steps per segment; <= 0 selects segmentSteps
+	segSteps int             // steps per segment; <= 0 selects segmentSteps
+	out      *streamTimeline // when non-nil, every flushed segment is published to it
 	segs     [][]byte
 	buf      []byte
 	inSeg    int
@@ -214,11 +216,106 @@ func (e *timelineEncoder) flush() {
 	e.segs = append(e.segs, seg)
 	e.buf = e.buf[:0]
 	e.inSeg = 0
+	if e.out != nil {
+		e.out.publish(e.segs, e.n)
+	}
 }
 
 func (e *timelineEncoder) finish() *segTimeline {
 	e.flush()
 	return &segTimeline{segs: e.segs, n: e.n}
+}
+
+// streamTimeline is a timeline still being recorded: the segments a
+// profiling run has flushed so far, growing as its encoder publishes more.
+// Engine.RunPool hands one to the replay for every tenant it has to
+// profile, so the replay consumes a fresh tenant's steps while the
+// recorder is still producing them — the paper's lifeguard core reading
+// the log as the application core writes it. A traversal sees exactly
+// the steps of the finished timeline: segments are immutable once
+// published, and a source that has decoded every published segment
+// blocks until the producer publishes another or closes the stream.
+// The wait also ends when done (the consuming replay's cancellation)
+// fires; the source then reports exhaustion and the replay's refill-
+// boundary cancellation check aborts it.
+type streamTimeline struct {
+	done <-chan struct{}
+
+	mu     sync.Mutex
+	segs   [][]byte
+	n      int
+	closed bool
+	wake   chan struct{} // closed and replaced at every publish and at close
+}
+
+func newStreamTimeline(done <-chan struct{}) *streamTimeline {
+	return &streamTimeline{done: done, wake: make(chan struct{})}
+}
+
+// publish makes segs, a longer prefix of the recording holding n steps,
+// visible to traversals. segs is the encoder's own list: entries below
+// its length are never written again, so readers share its backing
+// array.
+func (t *streamTimeline) publish(segs [][]byte, n int) {
+	t.mu.Lock()
+	t.segs, t.n = segs, n
+	close(t.wake)
+	t.wake = make(chan struct{})
+	t.mu.Unlock()
+}
+
+// close ends the recording. final is the finished timeline — the one
+// this stream published, or the memoized one an equal tenant produced
+// elsewhere, which encodes the same steps — or nil when profiling failed
+// (the replay has been cancelled first, so nothing reads past what was
+// published).
+func (t *streamTimeline) close(final *segTimeline) {
+	t.mu.Lock()
+	if final != nil {
+		t.segs, t.n = final.segs, final.n
+	}
+	t.closed = true
+	close(t.wake)
+	t.mu.Unlock()
+}
+
+// Len reports the steps published so far.
+func (t *streamTimeline) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.n
+}
+
+func (t *streamTimeline) Open() StepSource { return &streamSource{t: t} }
+
+// streamSource decodes a streamTimeline through the segment decoder,
+// extending its segment list whenever the published prefix grows.
+type streamSource struct {
+	t   *streamTimeline
+	seg segSource
+}
+
+func (s *streamSource) Next(dst []step) int {
+	for {
+		if k := s.seg.Next(dst); k > 0 {
+			return k
+		}
+		s.t.mu.Lock()
+		segs, closed, wake := s.t.segs, s.t.closed, s.t.wake
+		s.t.mu.Unlock()
+		if len(segs) > len(s.seg.segs) {
+			s.seg.segs = segs
+			continue
+		}
+		if closed {
+			return 0
+		}
+		select {
+		case <-wake:
+		case <-s.t.done:
+			return 0
+		}
+	}
 }
 
 // genTimeline is a generator-backed timeline: steps are produced on the
