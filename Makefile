@@ -4,8 +4,11 @@ GO ?= go
 
 .PHONY: build loc test race fuzz bench harness fmt vet docs daemon-smoke ci
 
+# perfbench is its own module, so the root build never compiles it; vet
+# type-checks it against the API it reads.
 build:
 	$(GO) build ./...
+	$(GO) -C perfbench vet ./...
 
 # Non-test Go lines, perfbench/ excluded: the size every change reports
 # its net effect against.

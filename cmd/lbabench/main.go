@@ -329,13 +329,13 @@ func (s *session) contention(n int) error {
 	if err != nil {
 		return err
 	}
-	rows, results, err := figures.ContentionSweep(set, figures.DefaultPoolSizes(), tenant.BaselinePolicies(), s.opts)
+	cells, err := figures.ContentionSweep(set, figures.DefaultPoolSizes(), tenant.BaselinePolicies(), s.opts)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(s.out, "Figure: multi-tenant contention — %d tenants sharing 1-8 lifeguard cores\n", n)
 	tb := metrics.NewTable("policy", "cores", "mean-slowdown", "max-slowdown", "pool-util")
-	for _, r := range rows {
+	for _, r := range cells {
 		tb.AddRow(r.Policy,
 			fmt.Sprintf("%d", r.Cores),
 			fmt.Sprintf("%.2fX", r.MeanSlowdown),
@@ -345,11 +345,9 @@ func (s *session) contention(n int) error {
 	}
 	fmt.Fprint(s.out, tb.String())
 	fmt.Fprintln(s.out)
-	fmt.Fprint(s.out, figures.RenderContention(rows))
+	fmt.Fprint(s.out, figures.RenderContention(cells))
 	fmt.Fprintln(s.out)
-	for _, r := range results {
-		s.tenantCells = append(s.tenantCells, r.Cell())
-	}
+	s.addCells(cells)
 	return nil
 }
 
@@ -365,28 +363,26 @@ func (s *session) schedFigure(n int) error {
 	if err != nil {
 		return err
 	}
-	rows, results, err := figures.SchedSweep(set, figures.SchedPoolSizes(), s.basePool, s.opts)
+	cells, err := figures.SchedSweep(set, figures.SchedPoolSizes(), s.basePool, s.opts)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(s.out, "Figure: pool schedulers — %d tenants under %d policies\n", n, len(tenant.Policies()))
 	tb := metrics.NewTable("policy", "cores", "mean-slowdown", "max-slowdown", "lag-p95", "pool-util")
-	for _, r := range rows {
+	for _, r := range cells {
 		tb.AddRow(r.Policy,
 			fmt.Sprintf("%d", r.Cores),
 			fmt.Sprintf("%.2fX", r.MeanSlowdown),
 			fmt.Sprintf("%.2fX", r.MaxSlowdown),
-			fmt.Sprintf("%d", r.WorstLagP95),
+			fmt.Sprintf("%d", r.WorstLagP95()),
 			fmt.Sprintf("%.0f%%", 100*r.Utilisation))
 		s.metrics[fmt.Sprintf("sched_%s_%dc_mean_x", r.Policy, r.Cores)] = r.MeanSlowdown
 	}
 	fmt.Fprint(s.out, tb.String())
 	fmt.Fprintln(s.out)
-	fmt.Fprint(s.out, figures.RenderContention(rows))
+	fmt.Fprint(s.out, figures.RenderContention(cells))
 	fmt.Fprintln(s.out)
-	for _, r := range results {
-		s.tenantCells = append(s.tenantCells, r.Cell())
-	}
+	s.addCells(cells)
 
 	// Admission control: the planner scans tenant counts up to twice the
 	// pool width, which is where every policy has long saturated.
@@ -428,14 +424,14 @@ func (s *session) affinityFigure(n int) error {
 	if err != nil {
 		return err
 	}
-	rows, results, err := figures.AffinitySweep(set, figures.AffinityPenalties(), s.basePool, s.opts)
+	cells, err := figures.AffinitySweep(set, figures.AffinityPenalties(), s.basePool, s.opts)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(s.out, "Figure: core affinity — %d tenants on %d cores as migration penalties grow\n",
 		n, s.basePool.Cores)
 	tb := metrics.NewTable("policy", "penalty", "mean-slowdown", "max-slowdown", "migrations", "cold-cycles", "pool-util")
-	for _, r := range rows {
+	for _, r := range cells {
 		tb.AddRow(r.Policy,
 			fmt.Sprintf("%d", r.MigrationPenalty),
 			fmt.Sprintf("%.2fX", r.MeanSlowdown),
@@ -447,11 +443,9 @@ func (s *session) affinityFigure(n int) error {
 	}
 	fmt.Fprint(s.out, tb.String())
 	fmt.Fprintln(s.out)
-	fmt.Fprint(s.out, figures.RenderAffinity(rows))
+	fmt.Fprint(s.out, figures.RenderAffinity(cells))
 	fmt.Fprintln(s.out)
-	for _, r := range results {
-		s.tenantCells = append(s.tenantCells, r.Cell())
-	}
+	s.addCells(cells)
 	return nil
 }
 
@@ -468,36 +462,34 @@ func (s *session) churnFigure(n int) error {
 			n = 2
 		}
 	}
-	rows, results, err := figures.ChurnSweep(s.basePool, figures.DefaultChurnRates(),
+	points, cells, err := figures.ChurnSweep(s.basePool, figures.DefaultChurnRates(),
 		figures.DefaultAdmissionSLOs(), n, s.seeds, s.opts)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(s.out, "Figure: tenant churn — admissible tenants on %d cores (%s) as arrivals spread out (search 1-%d, %d seed(s))\n",
-		s.basePool.Cores, rows[0].Policy, n, s.seeds)
+		s.basePool.Cores, points[0].Policy, n, s.seeds)
 	tb := metrics.NewTable("rate", "slo", "max-tenants", "band", "peak-conc", "probes", "search")
-	for _, r := range rows {
+	for _, p := range points {
 		search := "bisect"
-		if r.Fallback {
+		if p.FallbackScan {
 			search = "fallback-scan"
 		}
-		tb.AddRow(fmt.Sprintf("%.2f", r.Rate),
-			fmt.Sprintf("%.2fX", r.SLO),
-			fmt.Sprintf("%d", r.MaxTenants),
-			fmt.Sprintf("%d-%d", r.TenantsLo, r.TenantsHi),
-			fmt.Sprintf("%d", r.PeakConcurrency),
-			fmt.Sprintf("%d", r.Probes),
+		tb.AddRow(fmt.Sprintf("%.2f", p.ChurnRate),
+			fmt.Sprintf("%.2fX", p.SLO),
+			fmt.Sprintf("%d", p.MaxTenants),
+			fmt.Sprintf("%d-%d", p.TenantsLo, p.TenantsHi),
+			fmt.Sprintf("%d", p.PeakAtMax),
+			fmt.Sprintf("%d", p.Probes),
 			search)
-		s.metrics[fmt.Sprintf("churn_%s_r%.2f_slo%.2f_max_tenants", r.Policy, r.Rate, r.SLO)] = float64(r.MaxTenants)
-		s.churnPoints = append(s.churnPoints, r.Point(s.basePool.Cores))
+		s.metrics[fmt.Sprintf("churn_%s_r%.2f_slo%.2f_max_tenants", p.Policy, p.ChurnRate, p.SLO)] = float64(p.MaxTenants)
+		s.churnPoints = append(s.churnPoints, p.ChurnPoint())
 	}
 	fmt.Fprint(s.out, tb.String())
 	fmt.Fprintln(s.out)
-	fmt.Fprint(s.out, figures.RenderChurn(rows))
+	fmt.Fprint(s.out, figures.RenderChurn(points))
 	fmt.Fprintln(s.out)
-	for _, r := range results {
-		s.tenantCells = append(s.tenantCells, r.Cell())
-	}
+	s.addCells(cells)
 	return nil
 }
 
@@ -539,6 +531,13 @@ func (s *session) tenantCell(n int, pool tenant.PoolConfig) error {
 	s.metrics[fmt.Sprintf("tenant_cell_%s_%dc_mean_x", res.Policy, res.Cores)] = res.MeanSlowdown
 	s.tenantCells = append(s.tenantCells, res.Cell())
 	return nil
+}
+
+// addCells appends pool cells to the JSON artifact's tenant_cells.
+func (s *session) addCells(cells []*tenant.PoolResult) {
+	for _, c := range cells {
+		s.tenantCells = append(s.tenantCells, c.Cell())
+	}
 }
 
 func paperMean(lifeguard string) string {

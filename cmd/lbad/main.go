@@ -121,9 +121,7 @@ func runDaemon(args []string, out io.Writer) error {
 		ln.Close()
 		return err
 	}
-	// A client that never finishes its headers must not hold a
-	// connection (and its goroutine) open forever.
-	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	httpSrv := newHTTPServer(srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
@@ -149,6 +147,15 @@ func runDaemon(args []string, out io.Writer) error {
 		return err
 	}
 	return srv.Shutdown(shutCtx)
+}
+
+// newHTTPServer builds the daemon's HTTP server. A client that never
+// finishes its headers, or leaves a keep-alive connection idle, must not
+// hold the connection (and its goroutine) open forever. There is no
+// WriteTimeout: an admit can replay the pool for seconds before it
+// answers, and the admin client waits up to 5 minutes for it.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 }
 
 // client is the admin CLI's HTTP side.
@@ -269,8 +276,11 @@ func clientAdmit(args []string, out io.Writer) error {
 		}
 		return err
 	}
+	if *name != "" && *benchmark == "" {
+		return errors.New("-name needs -benchmark: a suite draw keeps its suite name")
+	}
 	var body io.Reader
-	if *benchmark != "" || *name != "" {
+	if *benchmark != "" {
 		blob, err := json.Marshal(serve.AdmitRequest{Benchmark: *benchmark, Name: *name})
 		if err != nil {
 			return err

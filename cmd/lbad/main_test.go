@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,5 +77,34 @@ func TestDaemonPoolFlagValidation(t *testing.T) {
 		if _, err := os.Stat(data); !os.IsNotExist(err) {
 			t.Errorf("args %v: the data directory was created before the pool was validated", c.args)
 		}
+	}
+}
+
+// TestHTTPServerTimeouts pins the daemon server's timeouts: headers must
+// arrive within 10 s and an idle keep-alive connection closes after 2
+// minutes, but a response has no write deadline, since one admit can
+// replay the pool for seconds before it answers.
+func TestHTTPServerTimeouts(t *testing.T) {
+	s := newHTTPServer(http.NotFoundHandler())
+	if s.ReadHeaderTimeout != 10*time.Second || s.IdleTimeout != 2*time.Minute || s.WriteTimeout != 0 {
+		t.Errorf("timeouts: read header %v, idle %v, write %v; want 10s, 2m0s, none",
+			s.ReadHeaderTimeout, s.IdleTimeout, s.WriteTimeout)
+	}
+}
+
+// TestAdmitNameNeedsBenchmark: `lbad admit -name x` without -benchmark
+// fails in the client, before any request is sent.
+func TestAdmitNameNeedsBenchmark(t *testing.T) {
+	var requests atomic.Int64
+	web := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.NotFound(w, r)
+	}))
+	defer web.Close()
+	if err := run([]string{"admit", "-addr", web.URL, "-name", "x"}, &bytes.Buffer{}); err == nil {
+		t.Error("-name without -benchmark should fail")
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("the client sent %d requests", n)
 	}
 }

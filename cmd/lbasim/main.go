@@ -196,8 +196,8 @@ func runTenants(out io.Writer, n int, pool tenant.PoolConfig, scale int, seed ui
 			fmt.Sprintf("%.2fX", tr.ContentionX)}
 		if res.Churned {
 			row = append(row,
-				fmt.Sprintf("%d", tr.ArriveAtCycles),
-				fmt.Sprintf("%d", tr.DepartAtCycles))
+				fmt.Sprintf("%d", tr.ArriveAt),
+				fmt.Sprintf("%d", tr.DepartAt))
 		}
 		row = append(row,
 			fmt.Sprintf("%d", tr.StallCycles),

@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -23,26 +22,12 @@ func AffinityPolicies() []string {
 	return []string{tenant.PolicyLeastLag, tenant.PolicyWFQ, tenant.PolicyAffinity}
 }
 
-// AffinityRow is one point of the core-affinity figure: a policy under a
-// migration penalty, with the cell's aggregates and migration accounting.
-type AffinityRow struct {
-	Policy           string
-	MigrationPenalty uint64
-	MeanSlowdown     float64
-	MaxSlowdown      float64
-	Utilisation      float64
-	Migrations       uint64
-	ColdServeCycles  uint64
-}
-
 // AffinitySweep regenerates the core-affinity figure: the tenant set
 // served by one pool under every compared policy across the migration
-// penalty sweep. base supplies the shared pool shape (cores, weights,
-// deadline, warmth half-life); its Policy and MigrationPenalty are
-// overridden per cell. Rows come back in (policy, penalty) order along
-// with the full per-cell detail.
-func AffinitySweep(tenants []tenant.Tenant, penalties []uint64, base tenant.PoolConfig, opts Options) ([]AffinityRow, []*tenant.PoolResult, error) {
-	opts = opts.withDefaults()
+// penalty sweep, in (policy, penalty) order. base supplies the shared
+// pool shape (cores, weights, deadline); its Policy and MigrationPenalty
+// are overridden per cell.
+func AffinitySweep(tenants []tenant.Tenant, penalties []uint64, base tenant.PoolConfig, opts Options) ([]*tenant.PoolResult, error) {
 	var pools []tenant.PoolConfig
 	for _, policy := range AffinityPolicies() {
 		for _, penalty := range penalties {
@@ -52,37 +37,21 @@ func AffinitySweep(tenants []tenant.Tenant, penalties []uint64, base tenant.Pool
 			pools = append(pools, pool)
 		}
 	}
-	results, err := tenantEngine(opts).RunMatrix(context.Background(), tenants, pools)
-	if err != nil {
-		return nil, nil, fmt.Errorf("figures: %w", err)
-	}
-	rows := make([]AffinityRow, len(results))
-	for i, r := range results {
-		rows[i] = AffinityRow{
-			Policy:           r.Policy,
-			MigrationPenalty: r.MigrationPenalty,
-			MeanSlowdown:     r.MeanSlowdown,
-			MaxSlowdown:      r.MaxSlowdown,
-			Utilisation:      r.Utilisation,
-			Migrations:       r.Migrations,
-			ColdServeCycles:  r.ColdServeCycles,
-		}
-	}
-	return rows, results, nil
+	return runMatrix(tenants, pools, opts)
 }
 
 // RenderAffinity draws aggregate slowdown vs migration penalty, one bar
-// row per (policy, penalty) point. Migration accounting is shown per row;
+// row per (policy, penalty) cell. Migration accounting is shown per row;
 // it reads zero at penalty 0 because the migration model (and with it the
 // accounting) is off there — that row is the pre-warmth baseline.
-func RenderAffinity(rows []AffinityRow) string {
-	if len(rows) == 0 {
+func RenderAffinity(cells []*tenant.PoolResult) string {
+	if len(cells) == 0 {
 		return ""
 	}
 	maxVal := 0.0
-	for _, r := range rows {
-		if r.MeanSlowdown > maxVal {
-			maxVal = r.MeanSlowdown
+	for _, c := range cells {
+		if c.MeanSlowdown > maxVal {
+			maxVal = c.MeanSlowdown
 		}
 	}
 	if maxVal == 0 {
@@ -94,18 +63,18 @@ func RenderAffinity(rows []AffinityRow) string {
 	var sb strings.Builder
 	sb.WriteString("mean slowdown vs migration penalty (1.0 = unmonitored)\n")
 	lastPolicy := ""
-	for _, r := range rows {
-		if r.Policy != lastPolicy {
-			fmt.Fprintf(&sb, "%s:\n", r.Policy)
-			lastPolicy = r.Policy
+	for _, c := range cells {
+		if c.Policy != lastPolicy {
+			fmt.Fprintf(&sb, "%s:\n", c.Policy)
+			lastPolicy = c.Policy
 		}
-		bar := int(r.MeanSlowdown*scale + 0.5)
+		bar := int(c.MeanSlowdown*scale + 0.5)
 		if bar < 1 {
 			bar = 1
 		}
 		fmt.Fprintf(&sb, "%5d cyc %s %.2fX (max %.2fX, util %.0f%%, %d migrations, %d cold cycles)\n",
-			r.MigrationPenalty, strings.Repeat("█", bar), r.MeanSlowdown, r.MaxSlowdown,
-			100*r.Utilisation, r.Migrations, r.ColdServeCycles)
+			c.MigrationPenalty, strings.Repeat("█", bar), c.MeanSlowdown, c.MaxSlowdown,
+			100*c.Utilisation, c.Migrations, c.ColdServeCycles)
 	}
 	return sb.String()
 }

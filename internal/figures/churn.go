@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/runner"
 	"repro/internal/tenant"
 )
 
@@ -20,62 +19,24 @@ import (
 // admits every tenant the search can reach.
 func DefaultChurnRates() []float64 { return []float64{0, 1, 2, 4, 8} }
 
-// ChurnRow is one point of the churn planning figure: under a churn rate
-// and a contention SLO, the admissible tenant count (with its
-// repeated-seed band when Seeds > 1), the admitted population's peak
-// channel concurrency, and what the bisection spent.
-type ChurnRow struct {
-	Rate            float64
-	Policy          string
-	SLO             float64
-	MaxTenants      int
-	TenantsLo       int
-	TenantsHi       int
-	Seeds           int
-	Searched        int
-	PeakConcurrency int
-	Probes          int
-	Fallback        bool
-}
-
-// Point flattens the row into the lba-runner/v1 churn section.
-func (r ChurnRow) Point(cores int) runner.ChurnPoint {
-	pt := runner.ChurnPoint{
-		ChurnRate:       r.Rate,
-		Cores:           cores,
-		Policy:          r.Policy,
-		SLOContentionX:  r.SLO,
-		MaxTenants:      r.MaxTenants,
-		SearchedTenants: r.Searched,
-		PeakConcurrency: r.PeakConcurrency,
-		Probes:          r.Probes,
-		FallbackScan:    r.Fallback,
-	}
-	if r.Seeds > 1 {
-		pt.Seeds = r.Seeds
-		pt.TenantsLo = r.TenantsLo
-		pt.TenantsHi = r.TenantsHi
-	}
-	return pt
-}
-
 // ChurnSweep regenerates the churn planning figure: admissible tenants vs
 // churn rate for one pool under one policy. Each rate runs a
 // bisection-based admission query (with seeds-many workload-seed
 // replications when seeds > 1); the admitted population's peak channel
 // concurrency — the capacity churn-aware provisioning actually needs —
-// rides along on the points from the planner's own probes, and one
-// representative cell per rate (the strictest SLO's admitted population)
-// is replayed for the artifact's per-tenant churn rows. Rows come back in
-// (SLO, rate) order along with those representative cells.
-func ChurnSweep(base tenant.PoolConfig, rates, slos []float64, maxTenants, seeds int, opts Options) ([]ChurnRow, []*tenant.PoolResult, error) {
+// rides along on the points (PeakAtMax) from the planner's own probes,
+// and one representative cell per rate (the strictest SLO's admitted
+// population) is replayed for the artifact's per-tenant churn rows.
+// Points come back in (SLO, rate) order along with those representative
+// cells.
+func ChurnSweep(base tenant.PoolConfig, rates, slos []float64, maxTenants, seeds int, opts Options) ([]tenant.AdmissionPoint, []*tenant.PoolResult, error) {
 	opts = opts.withDefaults()
 	eng := tenantEngine(opts)
 	ctx := context.Background()
 
-	// answers[rate][slo], gathered per rate, emitted in (SLO, rate) row
-	// order so the rendered figure groups one SLO's churn curve together.
-	answers := make([][]ChurnRow, len(rates))
+	// answers[rate][slo], gathered per rate, emitted in (SLO, rate) order
+	// so the rendered figure groups one SLO's churn curve together.
+	answers := make([][]tenant.AdmissionPoint, len(rates))
 	var results []*tenant.PoolResult
 	for ri, rate := range rates {
 		points, err := eng.PlanAdmissionQuery(ctx, opts.workloadConfig(), opts.coreConfig(), tenant.AdmissionQuery{
@@ -88,73 +49,53 @@ func ChurnSweep(base tenant.PoolConfig, rates, slos []float64, maxTenants, seeds
 		if err != nil {
 			return nil, nil, fmt.Errorf("figures: %w", err)
 		}
-		// The representative cell replays the strictest (smallest) SLO's
-		// admitted population; slos is an arbitrary caller slice, so find
-		// it rather than assume ascending order.
+		answers[ri] = points
+		// One representative cell per rate keeps the artifact readable:
+		// the strictest (smallest) SLO's admitted population. slos is an
+		// arbitrary caller slice, so find it rather than assume ascending
+		// order. This is the only replay the sweep itself pays, and only
+		// to emit the cell's per-tenant churn rows.
 		strictest := 0
 		for i := range points {
 			if points[i].SLO < points[strictest].SLO {
 				strictest = i
 			}
 		}
-		for i, p := range points {
-			row := ChurnRow{
-				Rate:       rate,
-				Policy:     p.Policy,
-				SLO:        p.SLO,
-				MaxTenants: p.MaxTenants,
-				TenantsLo:  p.TenantsLo,
-				TenantsHi:  p.TenantsHi,
-				Seeds:      p.Seeds,
-				Searched:   p.Searched,
-				// The planner's own envelope probe already replayed the
-				// admitted population; its peak concurrency rides along
-				// on the point, so no population is replayed for it.
-				PeakConcurrency: p.PeakAtMax,
-				Probes:          p.Probes,
-				Fallback:        p.FallbackScan,
+		if p := points[strictest]; p.MaxTenants > 0 {
+			set, err := tenant.FromSuite(p.MaxTenants, opts.workloadConfig(), opts.coreConfig())
+			if err != nil {
+				return nil, nil, fmt.Errorf("figures: %w", err)
 			}
-			// One representative cell per rate (the strictest SLO's
-			// admitted population) keeps the artifact readable; this is
-			// the only replay the sweep itself pays, and only to emit the
-			// cell's per-tenant churn rows.
-			if i == strictest && p.MaxTenants > 0 {
-				set, err := tenant.FromSuite(p.MaxTenants, opts.workloadConfig(), opts.coreConfig())
-				if err != nil {
-					return nil, nil, fmt.Errorf("figures: %w", err)
-				}
-				if set, err = tenant.ApplyChurn(set, tenant.Churn{Rate: rate}); err != nil {
-					return nil, nil, fmt.Errorf("figures: %w", err)
-				}
-				res, err := eng.RunPool(ctx, set, base)
-				if err != nil {
-					return nil, nil, fmt.Errorf("figures: %w", err)
-				}
-				results = append(results, res)
+			if set, err = tenant.ApplyChurn(set, tenant.Churn{Rate: rate}); err != nil {
+				return nil, nil, fmt.Errorf("figures: %w", err)
 			}
-			answers[ri] = append(answers[ri], row)
+			res, err := eng.RunPool(ctx, set, base)
+			if err != nil {
+				return nil, nil, fmt.Errorf("figures: %w", err)
+			}
+			results = append(results, res)
 		}
 	}
-	var rows []ChurnRow
+	var points []tenant.AdmissionPoint
 	for si := range slos {
 		for ri := range rates {
-			rows = append(rows, answers[ri][si])
+			points = append(points, answers[ri][si])
 		}
 	}
-	return rows, results, nil
+	return points, results, nil
 }
 
 // RenderChurn draws admissible tenants vs churn rate, one bar row per
 // (rate, SLO) point, with the repeated-seed band and the admitted
 // population's peak channel concurrency alongside.
-func RenderChurn(rows []ChurnRow) string {
-	if len(rows) == 0 {
+func RenderChurn(points []tenant.AdmissionPoint) string {
+	if len(points) == 0 {
 		return ""
 	}
 	maxVal := 0
-	for _, r := range rows {
-		if r.TenantsHi > maxVal {
-			maxVal = r.TenantsHi
+	for _, p := range points {
+		if p.TenantsHi > maxVal {
+			maxVal = p.TenantsHi
 		}
 	}
 	if maxVal == 0 {
@@ -166,24 +107,24 @@ func RenderChurn(rows []ChurnRow) string {
 	var sb strings.Builder
 	sb.WriteString("admissible tenants vs churn rate (arrival spacing in tenant lifetimes)\n")
 	lastSLO := -1.0
-	for _, r := range rows {
-		if r.SLO != lastSLO {
-			fmt.Fprintf(&sb, "SLO %.2fX:\n", r.SLO)
-			lastSLO = r.SLO
+	for _, p := range points {
+		if p.SLO != lastSLO {
+			fmt.Fprintf(&sb, "SLO %.2fX:\n", p.SLO)
+			lastSLO = p.SLO
 		}
-		bar := int(float64(r.MaxTenants)*scale + 0.5)
-		if bar < 1 && r.MaxTenants > 0 {
+		bar := int(float64(p.MaxTenants)*scale + 0.5)
+		if bar < 1 && p.MaxTenants > 0 {
 			bar = 1
 		}
-		detail := fmt.Sprintf("peak %d, %d probes", r.PeakConcurrency, r.Probes)
-		if r.Seeds > 1 {
-			detail = fmt.Sprintf("band %d-%d over %d seeds, %s", r.TenantsLo, r.TenantsHi, r.Seeds, detail)
+		detail := fmt.Sprintf("peak %d, %d probes", p.PeakAtMax, p.Probes)
+		if p.Seeds > 1 {
+			detail = fmt.Sprintf("band %d-%d over %d seeds, %s", p.TenantsLo, p.TenantsHi, p.Seeds, detail)
 		}
-		if r.Fallback {
+		if p.FallbackScan {
 			detail += ", fallback scan"
 		}
 		fmt.Fprintf(&sb, "rate %.2f %s %d tenants (%s)\n",
-			r.Rate, strings.Repeat("█", bar), r.MaxTenants, detail)
+			p.ChurnRate, strings.Repeat("█", bar), p.MaxTenants, detail)
 	}
 	return sb.String()
 }

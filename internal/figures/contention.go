@@ -8,36 +8,6 @@ import (
 	"repro/internal/tenant"
 )
 
-// ContentionRow is one point of the multi-tenant contention and scheduler
-// figures: a pool size under a scheduling policy, with the cell's
-// aggregates. WorstLagP95 is the largest per-tenant lag p95 in the cell —
-// the quantity the deadline policy exists to bound.
-type ContentionRow struct {
-	Policy       string
-	Cores        int
-	MeanSlowdown float64
-	MaxSlowdown  float64
-	Utilisation  float64
-	WorstLagP95  uint64
-}
-
-// rowOf reduces one pool cell to its figure row.
-func rowOf(r *tenant.PoolResult) ContentionRow {
-	row := ContentionRow{
-		Policy:       r.Policy,
-		Cores:        r.Cores,
-		MeanSlowdown: r.MeanSlowdown,
-		MaxSlowdown:  r.MaxSlowdown,
-		Utilisation:  r.Utilisation,
-	}
-	for _, t := range r.Tenants {
-		if t.LagP95Cycles > row.WorstLagP95 {
-			row.WorstLagP95 = t.LagP95Cycles
-		}
-	}
-	return row
-}
-
 // DefaultPoolSizes is the contention figure's X axis: 1-8 lifeguard
 // cores, the same span as the paper's parallel-lifeguard discussion.
 func DefaultPoolSizes() []int { return []int{1, 2, 3, 4, 5, 6, 7, 8} }
@@ -57,26 +27,27 @@ func tenantEngine(opts Options) *tenant.Engine {
 	return tenant.NewEngine(eng.Workers(), eng)
 }
 
+// runMatrix replays the tenant set against every pool on the options'
+// engine, one cell per pool in pool order.
+func runMatrix(tenants []tenant.Tenant, pools []tenant.PoolConfig, opts Options) ([]*tenant.PoolResult, error) {
+	results, err := tenantEngine(opts.withDefaults()).RunMatrix(context.Background(), tenants, pools)
+	if err != nil {
+		return nil, fmt.Errorf("figures: %w", err)
+	}
+	return results, nil
+}
+
 // ContentionSweep regenerates the contention figure: the tenant set
-// served by pools of each size under each policy. Results come back in
-// (policy, cores) row order along with the full per-cell detail.
-func ContentionSweep(tenants []tenant.Tenant, sizes []int, policies []string, opts Options) ([]ContentionRow, []*tenant.PoolResult, error) {
-	opts = opts.withDefaults()
+// served by pools of each size under each policy, in (policy, cores)
+// order.
+func ContentionSweep(tenants []tenant.Tenant, sizes []int, policies []string, opts Options) ([]*tenant.PoolResult, error) {
 	var pools []tenant.PoolConfig
 	for _, policy := range policies {
 		for _, cores := range sizes {
 			pools = append(pools, tenant.PoolConfig{Cores: cores, Policy: policy})
 		}
 	}
-	results, err := tenantEngine(opts).RunMatrix(context.Background(), tenants, pools)
-	if err != nil {
-		return nil, nil, fmt.Errorf("figures: %w", err)
-	}
-	rows := make([]ContentionRow, len(results))
-	for i, r := range results {
-		rows[i] = rowOf(r)
-	}
-	return rows, results, nil
+	return runMatrix(tenants, pools, opts)
 }
 
 // RunPoolCell simulates one tenant set against one pool configuration —
@@ -91,15 +62,15 @@ func RunPoolCell(tenants []tenant.Tenant, pool tenant.PoolConfig, opts Options) 
 }
 
 // RenderContention draws aggregate slowdown vs pool size, one bar row
-// per (policy, cores) point — the contention analogue of Figure 2.
-func RenderContention(rows []ContentionRow) string {
-	if len(rows) == 0 {
+// per (policy, cores) cell — the contention analogue of Figure 2.
+func RenderContention(cells []*tenant.PoolResult) string {
+	if len(cells) == 0 {
 		return ""
 	}
 	maxVal := 0.0
-	for _, r := range rows {
-		if r.MeanSlowdown > maxVal {
-			maxVal = r.MeanSlowdown
+	for _, c := range cells {
+		if c.MeanSlowdown > maxVal {
+			maxVal = c.MeanSlowdown
 		}
 	}
 	if maxVal == 0 {
@@ -111,17 +82,17 @@ func RenderContention(rows []ContentionRow) string {
 	var sb strings.Builder
 	sb.WriteString("mean slowdown vs lifeguard-pool size (1.0 = unmonitored)\n")
 	lastPolicy := ""
-	for _, r := range rows {
-		if r.Policy != lastPolicy {
-			fmt.Fprintf(&sb, "%s:\n", r.Policy)
-			lastPolicy = r.Policy
+	for _, c := range cells {
+		if c.Policy != lastPolicy {
+			fmt.Fprintf(&sb, "%s:\n", c.Policy)
+			lastPolicy = c.Policy
 		}
-		bar := int(r.MeanSlowdown*scale + 0.5)
+		bar := int(c.MeanSlowdown*scale + 0.5)
 		if bar < 1 {
 			bar = 1
 		}
 		fmt.Fprintf(&sb, "%2d cores %s %.2fX (max %.2fX, util %.0f%%, lag-p95 %d)\n",
-			r.Cores, strings.Repeat("█", bar), r.MeanSlowdown, r.MaxSlowdown, 100*r.Utilisation, r.WorstLagP95)
+			c.Cores, strings.Repeat("█", bar), c.MeanSlowdown, c.MaxSlowdown, 100*c.Utilisation, c.WorstLagP95())
 	}
 	return sb.String()
 }

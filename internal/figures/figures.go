@@ -2,11 +2,14 @@
 // evaluation (the experiment index of DESIGN.md §4), plus the
 // reproduction's own multi-tenant additions: the contention figure
 // (slowdown vs pool size), the scheduler-comparison figure (all
-// registered policies, SchedSweep) and the admission-control plan
-// (AdmissionPlan). Each generator runs the relevant benchmarks through
-// the three system modes and returns structured rows; cmd/lbabench
-// renders them as paper-style text and bench_test.go wraps them as Go
-// benchmarks.
+// registered policies, SchedSweep), the core-affinity and churn figures
+// and the admission-control plan (AdmissionPlan). Each paper generator
+// runs the relevant benchmarks through the three system modes and
+// returns structured rows. The multi-tenant sweeps build a list of pool
+// shapes and return the replayed cells themselves (*tenant.PoolResult,
+// the lba-runner/v1 cell), and the admission sweeps return
+// tenant.AdmissionPoint. cmd/lbabench renders both as paper-style text
+// and bench_test.go wraps them as Go benchmarks.
 package figures
 
 import (

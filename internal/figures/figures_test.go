@@ -229,15 +229,15 @@ func TestAffinitySweepBeatsLeastLag(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := tenant.PoolConfig{Cores: 2}
-	rows, results, err := AffinitySweep(set, AffinityPenalties(), base, Options{Scale: 40_000})
+	cells, err := AffinitySweep(set, AffinityPenalties(), base, Options{Scale: 40_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(AffinityPolicies())*len(AffinityPenalties()) {
-		t.Fatalf("sweep has %d rows, want %d", len(rows), len(AffinityPolicies())*len(AffinityPenalties()))
+	if len(cells) != len(AffinityPolicies())*len(AffinityPenalties()) {
+		t.Fatalf("sweep has %d cells, want %d", len(cells), len(AffinityPolicies())*len(AffinityPenalties()))
 	}
 	mean := map[string]map[uint64]float64{}
-	for _, r := range rows {
+	for _, r := range cells {
 		if mean[r.Policy] == nil {
 			mean[r.Policy] = map[uint64]float64{}
 		}
@@ -261,11 +261,7 @@ func TestAffinitySweepBeatsLeastLag(t *testing.T) {
 				penalty, aff, ll)
 		}
 	}
-	// The per-cell detail mirrors the rows.
-	if len(results) != len(rows) {
-		t.Fatalf("%d cells for %d rows", len(results), len(rows))
-	}
-	out := RenderAffinity(rows)
+	out := RenderAffinity(cells)
 	for _, want := range []string{"affinity", "least-lag", "wfq", "migration penalty"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered figure missing %q:\n%s", want, out)
@@ -315,24 +311,24 @@ func TestChurnSweepAdmitsMoreUnderChurn(t *testing.T) {
 	base := tenant.PoolConfig{Cores: 2}
 	rates := []float64{0, 8}
 	slos := DefaultAdmissionSLOs()
-	rows, results, err := ChurnSweep(base, rates, slos, 4, 1, opts)
+	points, results, err := ChurnSweep(base, rates, slos, 4, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(rates)*len(slos) {
-		t.Fatalf("sweep has %d rows, want %d", len(rows), len(rates)*len(slos))
+	if len(points) != len(rates)*len(slos) {
+		t.Fatalf("sweep has %d points, want %d", len(points), len(rates)*len(slos))
 	}
-	bySLO := map[float64]map[float64]ChurnRow{}
-	for _, r := range rows {
-		if bySLO[r.SLO] == nil {
-			bySLO[r.SLO] = map[float64]ChurnRow{}
+	bySLO := map[float64]map[float64]tenant.AdmissionPoint{}
+	for _, p := range points {
+		if bySLO[p.SLO] == nil {
+			bySLO[p.SLO] = map[float64]tenant.AdmissionPoint{}
 		}
-		bySLO[r.SLO][r.Rate] = r
-		if r.Searched != 4 {
-			t.Errorf("row %+v searched %d, want 4", r, r.Searched)
+		bySLO[p.SLO][p.ChurnRate] = p
+		if p.Searched != 4 {
+			t.Errorf("point %+v searched %d, want 4", p, p.Searched)
 		}
-		if r.MaxTenants > 0 && r.PeakConcurrency < 1 {
-			t.Errorf("row %+v admits tenants but reports no peak concurrency", r)
+		if p.MaxTenants > 0 && p.PeakAtMax < 1 {
+			t.Errorf("point %+v admits tenants but reports no peak concurrency", p)
 		}
 	}
 	for _, slo := range slos {
@@ -340,8 +336,8 @@ func TestChurnSweepAdmitsMoreUnderChurn(t *testing.T) {
 		if churned.MaxTenants < fixed.MaxTenants {
 			t.Errorf("SLO %g: rate 8 admits %d tenants, fewer than rate 0's %d", slo, churned.MaxTenants, fixed.MaxTenants)
 		}
-		if churned.MaxTenants > 1 && churned.PeakConcurrency >= churned.MaxTenants {
-			t.Errorf("SLO %g: disjoint windows still peak at %d of %d tenants", slo, churned.PeakConcurrency, churned.MaxTenants)
+		if churned.MaxTenants > 1 && churned.PeakAtMax >= churned.MaxTenants {
+			t.Errorf("SLO %g: disjoint windows still peak at %d of %d tenants", slo, churned.PeakAtMax, churned.MaxTenants)
 		}
 	}
 	// The representative cells carry the churn schema for the artifact.

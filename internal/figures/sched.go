@@ -20,12 +20,11 @@ func SchedPoolSizes() []int { return []int{1, 2, 4, 8} }
 func DefaultAdmissionSLOs() []float64 { return []float64{1.25, 2.0} }
 
 // SchedSweep regenerates the scheduler-comparison figure: the tenant set
-// served by pools of each size under every registered policy. base
-// supplies the policy inputs shared by all cells (weights, tiers, the lag
-// deadline); its Cores and Policy are overridden per cell. Rows come back
-// in (policy, cores) order along with the full per-cell detail.
-func SchedSweep(tenants []tenant.Tenant, sizes []int, base tenant.PoolConfig, opts Options) ([]ContentionRow, []*tenant.PoolResult, error) {
-	opts = opts.withDefaults()
+// served by pools of each size under every registered policy, in
+// (policy, cores) order. base supplies the policy inputs shared by all
+// cells (weights, the lag deadline, the migration penalty); its Cores and
+// Policy are overridden per cell.
+func SchedSweep(tenants []tenant.Tenant, sizes []int, base tenant.PoolConfig, opts Options) ([]*tenant.PoolResult, error) {
 	var pools []tenant.PoolConfig
 	for _, policy := range tenant.Policies() {
 		for _, cores := range sizes {
@@ -35,15 +34,7 @@ func SchedSweep(tenants []tenant.Tenant, sizes []int, base tenant.PoolConfig, op
 			pools = append(pools, pool)
 		}
 	}
-	results, err := tenantEngine(opts).RunMatrix(context.Background(), tenants, pools)
-	if err != nil {
-		return nil, nil, fmt.Errorf("figures: %w", err)
-	}
-	rows := make([]ContentionRow, len(results))
-	for i, r := range results {
-		rows[i] = rowOf(r)
-	}
-	return rows, results, nil
+	return runMatrix(tenants, pools, opts)
 }
 
 // AdmissionPlan answers the admission-control question for every listed

@@ -257,12 +257,7 @@ func (h *executor) runPool(ctx context.Context, s Scenario, c *Criteria) (*Artif
 		checks = append(checks, boundCheck("max_contention_x", res.MaxContentionX, *c.MaxContentionX, res.MaxContentionX <= *c.MaxContentionX))
 	}
 	if c.MaxLagP95Cycles != nil {
-		var worst uint64
-		for _, t := range res.Tenants {
-			if t.LagP95Cycles > worst {
-				worst = t.LagP95Cycles
-			}
-		}
+		worst := res.WorstLagP95()
 		checks = append(checks, Check{
 			Name: "max_lag_p95_cycles",
 			Want: fmt.Sprintf("<= %d", *c.MaxLagP95Cycles),

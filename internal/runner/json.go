@@ -65,33 +65,39 @@ func rowOf(key string, job Job, res *core.Result) Row {
 	}
 }
 
-// TenantRow is the flattened view of one tenant inside one pool cell of a
-// multi-tenant run (internal/tenant). Like Row it is pure data, so the
-// schema stays self-contained.
+// TenantRow is one tenant's measured behaviour inside one pool cell of a
+// multi-tenant run (internal/tenant, where it is tenant.TenantResult). Like
+// Row it is pure data, so the schema stays self-contained.
 type TenantRow struct {
 	Name      string `json:"name"`
 	Benchmark string `json:"benchmark"`
 	Lifeguard string `json:"lifeguard"`
 
 	Instructions  uint64  `json:"instructions"`
-	AppCycles     uint64  `json:"app_cycles"`
-	WallCycles    uint64  `json:"wall_cycles"`
-	BaseCycles    uint64  `json:"base_cycles"`
-	LBAWallCycles uint64  `json:"lba_wall_cycles,omitempty"`
+	AppCycles     uint64  `json:"app_cycles"`                // application cycles including contention stalls
+	WallCycles    uint64  `json:"wall_cycles"`               // through the lifeguard tail
+	BaseCycles    uint64  `json:"base_cycles"`               // unmonitored baseline wall cycles
+	LBAWallCycles uint64  `json:"lba_wall_cycles,omitempty"` // uncontended monitored wall cycles (dedicated core)
 	Slowdown      float64 `json:"slowdown"`
-	// ContentionX normalises the tenant's wall clock to its uncontended
-	// monitored run: the share of the slowdown the *pool* (not the
-	// lifeguard) is responsible for. Admission SLOs bound this quantity.
+	// ContentionX normalises the tenant's wall clock to its own
+	// uncontended monitored run: 1.0 means pooling cost this tenant
+	// nothing beyond the intrinsic monitoring slowdown. Admission SLOs
+	// bound this quantity: unlike Slowdown it excludes the lifeguard's
+	// per-benchmark intrinsic cost, so one SLO value is meaningful across
+	// the whole suite.
 	ContentionX float64 `json:"contention_x,omitempty"`
 
-	StallEvents uint64 `json:"stall_events,omitempty"`
+	StallEvents uint64 `json:"stall_events,omitempty"` // backpressure events (full private channel)
 	StallCycles uint64 `json:"stall_cycles,omitempty"`
-	DrainEvents uint64 `json:"drain_events,omitempty"`
+	DrainEvents uint64 `json:"drain_events,omitempty"` // syscall containment drains
 	DrainCycles uint64 `json:"drain_cycles,omitempty"`
 
 	Records uint64 `json:"records"`
 	LogBits uint64 `json:"log_bits,omitempty"`
 
+	// MeanLagCycles is the mean record queueing lag (finish minus
+	// production cycle). The percentiles are histogram upper bounds, not
+	// exact order statistics.
 	MeanLagCycles float64 `json:"mean_lag_cycles"`
 	LagP50Cycles  uint64  `json:"lag_p50_cycles"`
 	LagP95Cycles  uint64  `json:"lag_p95_cycles"`
@@ -99,18 +105,23 @@ type TenantRow struct {
 
 	// Migrations counts records served on a different pool core than the
 	// tenant's previous record; ColdServeCycles is the total migration
-	// charge those cold serves cost. Both appear only when the cell ran
-	// with a non-zero migration penalty, so zero-penalty artifacts stay
-	// byte-identical to the pre-warmth schema.
+	// charge those cold serves cost. Both stay zero, and so out of the
+	// JSON, while the cell runs without a migration penalty, so
+	// zero-penalty artifacts stay byte-identical to the pre-warmth schema.
 	Migrations      uint64 `json:"migrations,omitempty"`
 	ColdServeCycles uint64 `json:"cold_serve_cycles,omitempty"`
 
-	// Churn accounting, present only when the cell replayed a churning
-	// tenant set (so fixed-set artifacts keep the fixed-set schema):
-	// ArriveAt is the tenant's arrival cycle, DepartAt the wall-clock
-	// cycle at which a departing tenant released its channel, and
-	// ActiveCycles the active span (wall minus arrival) its lag and stall
-	// metrics cover.
+	// Churn accounting, set only when the cell replayed a churning tenant
+	// set (so fixed-set artifacts keep the fixed-set schema): ArriveAt is
+	// the tenant's arrival cycle, DepartAt the wall-clock cycle at which a
+	// departing tenant released its channel (0 for a tenant that never
+	// departs), and ActiveCycles the active span (wall minus arrival) its
+	// lag and stall metrics cover. For a departed tenant, Records and
+	// LogBits count the truncated timeline, ContentionX divides by a
+	// dedicated-core replay of the same truncated window (exact), and
+	// Slowdown pro-rates the unmonitored baseline by the truncated app
+	// span (an approximation, since the baseline cannot be re-run
+	// mid-flight).
 	ArriveAt     uint64 `json:"arrive_at,omitempty"`
 	DepartAt     uint64 `json:"depart_at,omitempty"`
 	ActiveCycles uint64 `json:"active_cycles,omitempty"`
@@ -120,7 +131,9 @@ type TenantRow struct {
 
 // TenantCell is one cell of a tenant matrix: a tenant set served by a
 // lifeguard-core pool of a given size under a given scheduling policy,
-// with per-tenant rows plus the cell's aggregates.
+// with per-tenant rows plus the cell's aggregates. tenant.PoolResult
+// embeds it, so a replay fills this record directly and the JSON artifact
+// carries it as is.
 type TenantCell struct {
 	Cores  int    `json:"cores"`
 	Policy string `json:"policy"`
@@ -136,19 +149,23 @@ type TenantCell struct {
 	MaxSlowdown      float64     `json:"max_slowdown"`
 	MeanContentionX  float64     `json:"mean_contention_x,omitempty"`
 	MaxContentionX   float64     `json:"max_contention_x,omitempty"`
-	MakespanCycles   uint64      `json:"makespan_cycles"`
-	Utilisation      float64     `json:"utilisation"`
-	// Shards is the sub-pool count of a sharded replay; present only when
-	// the cell actually partitioned (>= 2 shards, static-partitioning
-	// semantics), so single-pool artifacts keep the unsharded schema.
+	MakespanCycles   uint64      `json:"makespan_cycles"` // last tenant's wall clock
+	Utilisation      float64     `json:"utilisation"`     // sum(busy) / (cores * makespan)
+	// Shards is the sub-pool count of a sharded replay; set only when the
+	// replay actually partitioned (>= 2 shards, static-partitioning
+	// semantics): a 1-shard replay is the global batched replay, and its
+	// cell keeps the unsharded schema.
 	Shards int `json:"shards,omitempty"`
-	// Migrations and ColdServeCycles aggregate the per-tenant migration
-	// accounting; present only under a non-zero migration penalty.
+	// Migrations and ColdServeCycles sum the per-tenant migration
+	// accounting; zero, and so absent, without a migration penalty.
 	Migrations      uint64 `json:"migrations,omitempty"`
 	ColdServeCycles uint64 `json:"cold_serve_cycles,omitempty"`
 	// PeakConcurrency is the largest number of tenants simultaneously
-	// holding a channel; present only when the cell replayed a churning
-	// tenant set.
+	// holding a channel (arrival through release). A replay always
+	// computes it (a fixed set peaks at the full population), but the
+	// JSON cell carries it only when the cell replayed a churning tenant
+	// set (tenant.PoolResult.Cell), so churn-off artifacts keep the
+	// fixed-set schema.
 	PeakConcurrency int `json:"peak_concurrency,omitempty"`
 }
 

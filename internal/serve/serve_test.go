@@ -243,6 +243,9 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{http.MethodPost, "/v1/tenants", "{not json", http.StatusBadRequest},
 		{http.MethodPost, "/v1/tenants", `{"benchmark":"no-such-benchmark"}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/tenants", `{"name":"x"}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/tenants", `{"benchmrak":"gzip"}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/tenants", `{"benchmark":"gzip"} {}`, http.StatusBadRequest},
 		{http.MethodDelete, "/v1/tenants/99", "", http.StatusNotFound},
 		{http.MethodDelete, "/v1/tenants/xyz", "", http.StatusBadRequest},
 		{http.MethodGet, "/v1/nothing", "", http.StatusNotFound},

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -244,7 +245,8 @@ func (s *Server) benchmarkTenant(name, benchmark string, seed uint64) tenant.Ten
 
 // AdmitRequest is the optional POST /v1/tenants body: empty (or an empty
 // JSON object) draws the next suite tenant; an explicit benchmark admits
-// that workload instead. Explicit admissions diverge the live population
+// that workload instead, under Name if given. A Name without a Benchmark
+// and an unknown field are both rejected with 400. Explicit admissions diverge the live population
 // from the suite-drawn population the admission check replays, so their
 // check is an approximation (documented in docs/daemon.md).
 type AdmitRequest struct {
@@ -352,10 +354,21 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, nil, "reading body: %v", err)
 		return
 	} else if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
+		// A misspelt field must not fall back to a suite draw.
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&req)
+		if err == nil && dec.Decode(new(json.RawMessage)) != io.EOF {
+			err = errors.New("data after the request object")
+		}
+		if err != nil {
 			writeError(w, http.StatusBadRequest, nil, "malformed body: %v", err)
 			return
 		}
+	}
+	if req.Name != "" && req.Benchmark == "" {
+		writeError(w, http.StatusBadRequest, nil, "name %q needs a benchmark: a suite draw keeps its suite name", req.Name)
+		return
 	}
 	if req.Benchmark != "" {
 		if _, err := workloads.ByName(req.Benchmark); err != nil {

@@ -97,6 +97,30 @@ func (p AdmissionPoint) Row() runner.AdmissionPoint {
 	return row
 }
 
+// ChurnPoint flattens the point into the lba-runner/v1 churn section
+// (`lbabench -fig churn`), which also carries the admitted population's
+// peak concurrency and the probe count. The band is emitted only when
+// Seeds > 1, as in Row.
+func (p AdmissionPoint) ChurnPoint() runner.ChurnPoint {
+	pt := runner.ChurnPoint{
+		ChurnRate:       p.ChurnRate,
+		Cores:           p.Cores,
+		Policy:          p.Policy,
+		SLOContentionX:  p.SLO,
+		MaxTenants:      p.MaxTenants,
+		SearchedTenants: p.Searched,
+		PeakConcurrency: p.PeakAtMax,
+		Probes:          p.Probes,
+		FallbackScan:    p.FallbackScan,
+	}
+	if p.Seeds > 1 {
+		pt.Seeds = p.Seeds
+		pt.TenantsLo = p.TenantsLo
+		pt.TenantsHi = p.TenantsHi
+	}
+	return pt
+}
+
 // AdmissionQuery is the full admission-control question: the pool to ask
 // it of, the SLO points to answer, the search bound, and optionally a
 // churn layout for the candidate populations and a replication count for

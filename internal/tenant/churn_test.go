@@ -138,7 +138,7 @@ func TestChurnOffEquivalence(t *testing.T) {
 			t.Errorf("%s: fixed-set peak concurrency %d, want %d", policy, fixed.PeakConcurrency, len(set))
 		}
 		for _, tr := range fixed.Tenants {
-			if tr.ArriveAtCycles != 0 || tr.DepartAtCycles != 0 || tr.ActiveCycles != 0 {
+			if tr.ArriveAt != 0 || tr.DepartAt != 0 || tr.ActiveCycles != 0 {
 				t.Errorf("%s/%s: churn-off result carries churn fields: %+v", policy, tr.Name, tr)
 			}
 		}
@@ -162,7 +162,7 @@ func TestChurnedLoneTenantContentionExact(t *testing.T) {
 		if tr.ContentionX != 1.0 {
 			t.Errorf("arrive %d: lone truncated tenant contention %v, want exactly 1.0", arrive, tr.ContentionX)
 		}
-		if tr.DepartAtCycles == 0 || tr.ActiveCycles != tr.DepartAtCycles-arrive {
+		if tr.DepartAt == 0 || tr.ActiveCycles != tr.DepartAt-arrive {
 			t.Errorf("arrive %d: departure accounting inconsistent: %+v", arrive, tr)
 		}
 		if tr.Records == 0 {
@@ -272,22 +272,22 @@ func TestChurnReplayInvariants(t *testing.T) {
 						policy, cores, i, served[i], tr.Records, want)
 				}
 				if p.Tenant.DepartAfter > 0 {
-					if tr.DepartAtCycles == 0 {
+					if tr.DepartAt == 0 {
 						t.Errorf("%s/%dc/%d: departing tenant never released", policy, cores, i)
 					}
-					if tr.DepartAtCycles < maxFinish[i] {
+					if tr.DepartAt < maxFinish[i] {
 						t.Errorf("%s/%dc/%d: channel released at %d before its last record finished at %d (drain)",
-							policy, cores, i, tr.DepartAtCycles, maxFinish[i])
+							policy, cores, i, tr.DepartAt, maxFinish[i])
 					}
 					if limit < len(steps) && tr.Records >= p.Result.Records {
 						t.Errorf("%s/%dc/%d: truncation did not shed records", policy, cores, i)
 					}
-				} else if tr.DepartAtCycles != 0 {
-					t.Errorf("%s/%dc/%d: resident tenant reports a departure at %d", policy, cores, i, tr.DepartAtCycles)
+				} else if tr.DepartAt != 0 {
+					t.Errorf("%s/%dc/%d: resident tenant reports a departure at %d", policy, cores, i, tr.DepartAt)
 				}
-				if tr.ActiveCycles != tr.WallCycles-tr.ArriveAtCycles {
+				if tr.ActiveCycles != tr.WallCycles-tr.ArriveAt {
 					t.Errorf("%s/%dc/%d: active span %d != wall %d - arrival %d",
-						policy, cores, i, tr.ActiveCycles, tr.WallCycles, tr.ArriveAtCycles)
+						policy, cores, i, tr.ActiveCycles, tr.WallCycles, tr.ArriveAt)
 				}
 			}
 		}

@@ -99,7 +99,7 @@ func ExampleEngine_RunPool_churn() {
 	}
 	fmt.Println("peak concurrency:", res.PeakConcurrency)
 	for _, tr := range res.Tenants {
-		fmt.Printf("%s arrives at %d, departs at %d\n", tr.Name, tr.ArriveAtCycles, tr.DepartAtCycles)
+		fmt.Printf("%s arrives at %d, departs at %d\n", tr.Name, tr.ArriveAt, tr.DepartAt)
 	}
 	// Output:
 	// peak concurrency: 2

@@ -161,17 +161,17 @@ func checkReplayInvariants(t *testing.T, policy string, profiles []*Profile, poo
 			t.Errorf("%s/%d: result reports %d records, active window holds %d (conservation across churn)",
 				policy, i, tr.Records, windowRecords)
 		}
-		if !churned && (tr.ArriveAtCycles != 0 || tr.DepartAtCycles != 0 || tr.ActiveCycles != 0) {
+		if !churned && (tr.ArriveAt != 0 || tr.DepartAt != 0 || tr.ActiveCycles != 0) {
 			t.Errorf("%s/%d: churn accounting (%d, %d, %d) on a fixed-set replay",
-				policy, i, tr.ArriveAtCycles, tr.DepartAtCycles, tr.ActiveCycles)
+				policy, i, tr.ArriveAt, tr.DepartAt, tr.ActiveCycles)
 		}
-		if depart == 0 && tr.DepartAtCycles != 0 {
-			t.Errorf("%s/%d: resident tenant reports a departure at %d", policy, i, tr.DepartAtCycles)
+		if depart == 0 && tr.DepartAt != 0 {
+			t.Errorf("%s/%d: resident tenant reports a departure at %d", policy, i, tr.DepartAt)
 		}
 		// A departing tenant always releases; the release cycle is only
 		// provably non-zero once anything pins the clock past 0 (a late
 		// arrival or at least one served record).
-		if depart > 0 && (arrive > 0 || windowRecords > 0) && tr.DepartAtCycles == 0 {
+		if depart > 0 && (arrive > 0 || windowRecords > 0) && tr.DepartAt == 0 {
 			t.Errorf("%s/%d: departing tenant never released its channel", policy, i)
 		}
 		if tr.WallCycles < arrive {
@@ -376,9 +376,9 @@ func FuzzReplayInvariants(f *testing.F) {
 					t.Fatalf("%s: replay failed on valid input: %v", policy, err)
 				}
 				for i, tr := range res.Tenants {
-					if tr.DepartAtCycles > 0 && tr.DepartAtCycles < maxFinish[i] {
+					if tr.DepartAt > 0 && tr.DepartAt < maxFinish[i] {
 						t.Errorf("%s/%d: channel released at %d before its last record finished at %d (full drain)",
-							policy, i, tr.DepartAtCycles, maxFinish[i])
+							policy, i, tr.DepartAt, maxFinish[i])
 					}
 				}
 				checkReplayInvariants(t, policy, profiles, pool, res, totalCost)

@@ -150,172 +150,46 @@ func (h *lagHist) mean() float64 {
 	return float64(h.sum) / float64(h.count)
 }
 
-// TenantResult is one tenant's measured behaviour inside a pool cell.
-type TenantResult struct {
-	Name      string
-	Benchmark string
-	Lifeguard string
-
-	Instructions  uint64
-	AppCycles     uint64 // application cycles including contention stalls
-	WallCycles    uint64 // through the lifeguard tail
-	BaseCycles    uint64 // unmonitored baseline wall cycles
-	LBAWallCycles uint64 // uncontended monitored wall cycles (dedicated core)
-	Slowdown      float64
-	// ContentionX is the tenant's wall clock normalised to its own
-	// uncontended LBA run: 1.0 means pooling cost this tenant nothing
-	// beyond the intrinsic monitoring slowdown. This is the quantity
-	// admission control bounds — unlike Slowdown it excludes the
-	// lifeguard's per-benchmark intrinsic cost, so one SLO value is
-	// meaningful across the whole suite.
-	ContentionX float64
-
-	StallEvents uint64 // backpressure events (full private channel)
-	StallCycles uint64
-	DrainEvents uint64 // syscall containment drains
-	DrainCycles uint64
-
-	Records uint64
-	LogBits uint64
-
-	MeanLagCycles float64 // mean record queueing lag
-	LagP50Cycles  uint64  // histogram upper bounds, not exact order statistics
-	LagP95Cycles  uint64
-	MaxLagCycles  uint64
-
-	// Migrations counts records served on a different core than the
-	// tenant's previous record; ColdServeCycles is the total migration
-	// charge those cold serves cost. Both are zero while the migration
-	// model is off (PoolConfig.MigrationPenalty == 0).
-	Migrations      uint64
-	ColdServeCycles uint64
-
-	// Active-window accounting, populated only when the cell replayed a
-	// churning tenant set (any tenant with a non-zero ArriveAt or
-	// DepartAfter), so churn-off results stay byte-identical to the
-	// fixed-set path. ArriveAtCycles echoes the tenant's arrival;
-	// DepartAtCycles is the wall-clock cycle at which a departing tenant
-	// released its channel (0 for tenants that never depart);
-	// ActiveCycles is the tenant's active span — wall clock minus arrival
-	// — the window its lag/stall metrics cover. For a departed tenant,
-	// Records/LogBits count the truncated timeline, ContentionX divides
-	// by a dedicated-core replay of the same truncated window (exact),
-	// and Slowdown pro-rates the unmonitored baseline by the truncated
-	// app span (an approximation, since the baseline cannot be re-run
-	// mid-flight).
-	ArriveAtCycles uint64
-	DepartAtCycles uint64
-	ActiveCycles   uint64
-
-	Violations int
-}
+// TenantResult is one tenant's measured behaviour inside a pool cell: the
+// lba-runner/v1 tenant row itself (runner.TenantRow documents its fields).
+type TenantResult = runner.TenantRow
 
 // PoolResult is one cell of a tenant matrix: the tenant set served by a
-// pool of the given size under the given policy. Weights and
-// DeadlineCycles echo the policy inputs the cell ran with, so a JSON
-// artifact is self-describing.
+// pool of the given size under the given policy. It is the lba-runner/v1
+// cell, filled directly by the replay, plus the per-core detail the JSON
+// leaves out.
 type PoolResult struct {
-	Cores            int
-	Policy           string
-	Weights          []float64
-	DeadlineCycles   uint64
-	MigrationPenalty uint64
-	Tenants          []TenantResult
+	runner.TenantCell
 
-	MeanSlowdown    float64
-	MaxSlowdown     float64
-	MeanContentionX float64
-	MaxContentionX  float64
-	MakespanCycles  uint64   // last tenant's wall clock
-	CoreBusyCycles  []uint64 // lifeguard work per pool core
-	Utilisation     float64  // sum(busy) / (cores * makespan)
-
-	// Migrations and ColdServeCycles sum the per-tenant migration
-	// accounting (zero while MigrationPenalty == 0). CoreWarmth is the
-	// final [core][tenant] warmth matrix — always populated, because
-	// warmth is tracked regardless of the penalty; the fuzz tier asserts
-	// its conservation invariants on it. It is deliberately kept out of
-	// the JSON cell.
-	Migrations      uint64
-	ColdServeCycles uint64
-	CoreWarmth      [][]float64
-
-	// Churned records that the cell replayed a churning tenant set;
-	// PeakConcurrency is the largest number of tenants simultaneously
-	// holding a channel (arrival through release). It is always computed
-	// — a fixed set peaks at the full population — but lands in the JSON
-	// cell only when Churned, so churn-off artifacts keep the fixed-set
-	// schema.
-	Churned         bool
-	PeakConcurrency int
-
-	// Shards is the effective sub-pool count of a sharded replay, set
-	// only when the replay actually partitioned (>= 2): a 1-shard replay
-	// is the global batched replay and its result — this field included —
-	// is identical to the unsharded one.
-	Shards int
+	CoreBusyCycles []uint64 // lifeguard work per pool core
+	// CoreWarmth is the final [core][tenant] warmth matrix. It is always
+	// populated, because warmth is tracked regardless of the penalty; the
+	// fuzz tier asserts its conservation invariants on it.
+	CoreWarmth [][]float64
+	// Churned records that the cell replayed a churning tenant set, which
+	// is what puts PeakConcurrency into the JSON cell.
+	Churned bool
 }
 
-// Cell flattens the result into the lba-runner/v1 JSON schema.
+// Cell returns the lba-runner/v1 JSON cell. It shares the Tenants slice
+// with the result. PeakConcurrency is cleared unless the cell churned, so
+// churn-off artifacts keep the fixed-set schema byte for byte.
 func (r *PoolResult) Cell() runner.TenantCell {
-	cell := runner.TenantCell{
-		Cores:            r.Cores,
-		Policy:           r.Policy,
-		Weights:          r.Weights,
-		DeadlineCycles:   r.DeadlineCycles,
-		MigrationPenalty: r.MigrationPenalty,
-		MeanSlowdown:     r.MeanSlowdown,
-		MaxSlowdown:      r.MaxSlowdown,
-		MeanContentionX:  r.MeanContentionX,
-		MaxContentionX:   r.MaxContentionX,
-		MakespanCycles:   r.MakespanCycles,
-		Utilisation:      r.Utilisation,
-		Migrations:       r.Migrations,
-		ColdServeCycles:  r.ColdServeCycles,
-	}
-	// Churn accounting is present only when the cell actually replayed a
-	// churning set, so churn-off artifacts keep the fixed-set schema byte
-	// for byte.
-	if r.Churned {
-		cell.PeakConcurrency = r.PeakConcurrency
-	}
-	// And once more for sharding: only a replay that actually partitioned
-	// (>= 2 sub-pools) marks its cell, so 1-shard artifacts stay
-	// byte-identical to the unsharded schema.
-	if r.Shards > 1 {
-		cell.Shards = r.Shards
-	}
-	for _, t := range r.Tenants {
-		cell.Tenants = append(cell.Tenants, runner.TenantRow{
-			Name:            t.Name,
-			Benchmark:       t.Benchmark,
-			Lifeguard:       t.Lifeguard,
-			Instructions:    t.Instructions,
-			AppCycles:       t.AppCycles,
-			WallCycles:      t.WallCycles,
-			BaseCycles:      t.BaseCycles,
-			LBAWallCycles:   t.LBAWallCycles,
-			Slowdown:        t.Slowdown,
-			ContentionX:     t.ContentionX,
-			StallEvents:     t.StallEvents,
-			StallCycles:     t.StallCycles,
-			DrainEvents:     t.DrainEvents,
-			DrainCycles:     t.DrainCycles,
-			Records:         t.Records,
-			LogBits:         t.LogBits,
-			MeanLagCycles:   t.MeanLagCycles,
-			LagP50Cycles:    t.LagP50Cycles,
-			LagP95Cycles:    t.LagP95Cycles,
-			MaxLagCycles:    t.MaxLagCycles,
-			Migrations:      t.Migrations,
-			ColdServeCycles: t.ColdServeCycles,
-			ArriveAt:        t.ArriveAtCycles,
-			DepartAt:        t.DepartAtCycles,
-			ActiveCycles:    t.ActiveCycles,
-			Violations:      t.Violations,
-		})
+	cell := r.TenantCell
+	if !r.Churned {
+		cell.PeakConcurrency = 0
 	}
 	return cell
+}
+
+// WorstLagP95 is the largest per-tenant lag p95 in the cell: the quantity
+// the deadline policy exists to bound.
+func (r *PoolResult) WorstLagP95() uint64 {
+	var worst uint64
+	for _, t := range r.Tenants {
+		worst = max(worst, t.LagP95Cycles)
+	}
+	return worst
 }
 
 // tenantState is one tenant's live replay state. The timeline is read
@@ -847,14 +721,16 @@ func (r *replayer) finish() *PoolResult {
 	}
 
 	res := &PoolResult{
-		Cores:            r.pool.Cores,
-		Policy:           r.sched.Name(),
-		Weights:          r.pool.Weights,
-		DeadlineCycles:   r.pool.DeadlineCycles,
-		MigrationPenalty: r.pool.MigrationPenalty,
-		CoreBusyCycles:   append([]uint64(nil), r.busy...),
-		CoreWarmth:       r.warmth.snapshot(),
-		Churned:          r.churned,
+		TenantCell: runner.TenantCell{
+			Cores:            r.pool.Cores,
+			Policy:           r.sched.Name(),
+			Weights:          r.pool.Weights,
+			DeadlineCycles:   r.pool.DeadlineCycles,
+			MigrationPenalty: r.pool.MigrationPenalty,
+		},
+		CoreBusyCycles: append([]uint64(nil), r.busy...),
+		CoreWarmth:     r.warmth.snapshot(),
+		Churned:        r.churned,
 	}
 	views, churned := r.views, r.churned
 	for i := range r.states {
@@ -916,10 +792,10 @@ func (r *replayer) finish() *PoolResult {
 			tr.ContentionX = float64(span) / float64(dedicated)
 		}
 		if churned {
-			tr.ArriveAtCycles = ts.arrive
+			tr.ArriveAt = ts.arrive
 			tr.ActiveCycles = span
 			if ts.released {
-				tr.DepartAtCycles = ts.releaseWall
+				tr.DepartAt = ts.releaseWall
 			}
 		}
 		res.Tenants = append(res.Tenants, tr)
@@ -952,9 +828,9 @@ func (res *PoolResult) aggregate() {
 		if tr.WallCycles > res.MakespanCycles {
 			res.MakespanCycles = tr.WallCycles
 		}
-		// A fixed set leaves ArriveAtCycles zero, which is every
-		// tenant's arrival there.
-		starts[i] = tr.ArriveAtCycles
+		// A fixed set leaves ArriveAt zero, which is every tenant's
+		// arrival there.
+		starts[i] = tr.ArriveAt
 		ends[i] = tr.WallCycles
 	}
 	res.MeanSlowdown /= float64(n)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/runner"
 )
 
 // This file is the multi-core half of the replay fast path: ReplayPool
@@ -186,14 +188,16 @@ func mergeShards(pool PoolConfig, specs []shardSpec, results []*PoolResult) *Poo
 		n += len(spec.tenants)
 	}
 	merged := &PoolResult{
-		Cores:            pool.Cores,
-		Weights:          pool.Weights,
-		DeadlineCycles:   pool.DeadlineCycles,
-		MigrationPenalty: pool.MigrationPenalty,
-		Shards:           len(specs),
-		Tenants:          make([]TenantResult, n),
-		CoreBusyCycles:   make([]uint64, pool.Cores),
-		CoreWarmth:       make([][]float64, pool.Cores),
+		TenantCell: runner.TenantCell{
+			Cores:            pool.Cores,
+			Weights:          pool.Weights,
+			DeadlineCycles:   pool.DeadlineCycles,
+			MigrationPenalty: pool.MigrationPenalty,
+			Shards:           len(specs),
+			Tenants:          make([]TenantResult, n),
+		},
+		CoreBusyCycles: make([]uint64, pool.Cores),
+		CoreWarmth:     make([][]float64, pool.Cores),
 	}
 	for c := range merged.CoreWarmth {
 		merged.CoreWarmth[c] = make([]float64, n)
