@@ -21,7 +21,7 @@ test:
 	fi
 	$(GO) test ./...
 	$(GO) test -run 'Invariant|Property' -count=2 ./internal/tenant
-	$(GO) test -race -count=2 -run 'VPCGolden|BitWriter|MemoryPage|ProfileAllocs|CompressorReset|PredictorBank' ./internal/vpc ./internal/mem ./internal/shadow ./internal/core
+	$(GO) test -race -count=2 -run 'VPCGolden|BitWriter|MemoryPage|ProfileAllocs|CompressorReset|PredictorBank|ProfileBaseline|SetScanReference' ./internal/vpc ./internal/mem ./internal/shadow ./internal/core
 
 race:
 	$(GO) test -race ./...
@@ -75,6 +75,8 @@ bench:
 	@grep -q '"lba-bench-replay/v2"' BENCH_replay.ci.json && grep -q '"speedup_x"' BENCH_replay.ci.json
 	@grep -q '"sharded"' BENCH_replay.ci.json && grep -q '"shards": 4' BENCH_replay.ci.json
 	@grep -q '"streaming"' BENCH_replay.ci.json && grep -q '"peak_heap_bytes"' BENCH_replay.ci.json
+	$(GO) run ./cmd/lbabench -bench profile -json BENCH_profile.ci.json -diff-schema BENCH_profile.json
+	@grep -q '"lba-bench-profile/v1"' BENCH_profile.ci.json && grep -q '"ns_per_instr"' BENCH_profile.ci.json
 
 harness:
 	GOMEMLIMIT=256MiB $(GO) run ./cmd/lbaharness -runlist corpus/runlist.csv -json HARNESS_corpus.json -artifacts harness-artifacts

@@ -239,7 +239,7 @@ func (s *session) benchReplay(jsonPath, diffSchemaPath string) error {
 
 	rep.Streaming.Rows[0].NsPerReplay = float64(streamCell.best().Nanoseconds())
 	rep.Streaming.Rows[0].RecordsPerSec = float64(streamCell.records) / streamCell.best().Seconds()
-	rep.Streaming.Rows[0].SpreadPct = streamCell.spreadPct()
+	rep.Streaming.Rows[0].SpreadPct = spreadPct(streamCell.times)
 
 	fmt.Fprintf(s.out, "Replay benchmark: %d tenants, %d cores, %d records/replay, best of %d\n",
 		benchTenants, benchCores, rep.Suite.RecordsPerReplay, benchReps)
@@ -278,6 +278,13 @@ func (s *session) benchReplay(jsonPath, diffSchemaPath string) error {
 	fmt.Fprint(s.out, wt.String())
 	fmt.Fprintln(s.out)
 
+	return s.writeBenchReport(rep, jsonPath, diffSchemaPath)
+}
+
+// writeBenchReport writes a benchmark report to jsonPath when it is
+// non-empty, and diffs its JSON key paths against the committed
+// trajectory file at diffSchemaPath when that is non-empty.
+func (s *session) writeBenchReport(rep any, jsonPath, diffSchemaPath string) error {
 	if jsonPath == "" && diffSchemaPath == "" {
 		return nil
 	}
@@ -488,19 +495,21 @@ func measureCells(cells []*benchCell) error {
 // best returns the cell's fastest timed replay.
 func (c *benchCell) best() time.Duration { return slices.Min(c.times) }
 
-// spreadPct returns (p75 - p25) / median of the cell's timed replays, in
-// percent, with quartiles interpolated linearly between order statistics.
-func (c *benchCell) spreadPct() float64 {
-	sorted := slices.Sorted(slices.Values(c.times))
-	q := func(p float64) float64 {
-		x := p * float64(len(sorted)-1)
-		i := int(x)
-		if i+1 >= len(sorted) {
-			return float64(sorted[i])
-		}
-		return float64(sorted[i]) + (x-float64(i))*float64(sorted[i+1]-sorted[i])
+// quantile returns the p-quantile of times, interpolated linearly between
+// order statistics.
+func quantile(times []time.Duration, p float64) float64 {
+	sorted := slices.Sorted(slices.Values(times))
+	x := p * float64(len(sorted)-1)
+	i := int(x)
+	if i+1 >= len(sorted) {
+		return float64(sorted[i])
 	}
-	return (q(0.75) - q(0.25)) / q(0.5) * 100
+	return float64(sorted[i]) + (x-float64(i))*float64(sorted[i+1]-sorted[i])
+}
+
+// spreadPct returns (p75 - p25) / median of times, in percent.
+func spreadPct(times []time.Duration) float64 {
+	return (quantile(times, 0.75) - quantile(times, 0.25)) / quantile(times, 0.5) * 100
 }
 
 // stats reports the cell's measurement in the report's stat fields.
@@ -513,6 +522,6 @@ func (c *benchCell) stats() benchDispatchStats {
 		RecordsPerSec:   float64(c.records) / best.Seconds(),
 		AllocsPerReplay: float64(c.mallocs) / benchReps,
 		BytesPerReplay:  float64(c.bytesN) / benchReps,
-		SpreadPct:       c.spreadPct(),
+		SpreadPct:       spreadPct(c.times),
 	}
 }

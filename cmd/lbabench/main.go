@@ -32,6 +32,7 @@
 //	lbabench -workers 8           # experiment-matrix worker pool width
 //	lbabench -json out.json       # structured results for trajectory tracking
 //	lbabench -bench replay -json BENCH_replay.json  # replay throughput trajectory
+//	lbabench -bench profile -json BENCH_profile.json  # profiling cost trajectory
 package main
 
 import (
@@ -98,7 +99,7 @@ func run(args []string, out io.Writer) error {
 		churn      = fs.Float64("churn", 0, "tenant churn rate for a single cell: arrival spacing in tenant lifetimes (0 = fixed set; the churn figure sweeps rates itself)")
 		shards     = fs.Int("shards", 0, "partition a single cell's pool into K sub-pools replayed in parallel (0/1 = unsharded)")
 		seeds      = fs.Int("seeds", 1, "workload-seed replications for the churn figure's admission confidence bands")
-		bench      = fs.String("bench", "", "replay — time the production replay path per policy, sharded and streaming (with -json, writes the lba-bench-replay/v2 report)")
+		bench      = fs.String("bench", "", "replay — time the production replay path per policy, sharded and streaming (with -json, writes the lba-bench-replay/v2 report); profile — time tenant.Engine.Profile per lifeguard (lba-bench-profile/v1)")
 		diffSchema = fs.String("diff-schema", "", "with -bench: diff the fresh report's JSON key paths against this committed trajectory file (exits non-zero on drift)")
 		jsonPath   = fs.String("json", "", "write structured runner results to this file")
 	)
@@ -137,8 +138,8 @@ func run(args []string, out io.Writer) error {
 	affinityFig := *fig == "affinity"
 	churnFig := *fig == "churn"
 	cellMode := *tenants > 0 && *fig != "contention" && !schedFig && !affinityFig && !churnFig
-	if *bench != "" && *bench != "replay" {
-		return fmt.Errorf("unknown benchmark %q (have replay)", *bench)
+	if *bench != "" && *bench != "replay" && *bench != "profile" {
+		return fmt.Errorf("unknown benchmark %q (have replay, profile)", *bench)
 	}
 	if *diffSchema != "" && *bench == "" {
 		return fmt.Errorf("-diff-schema only applies with -bench (it pins the benchmark report's schema)")
@@ -148,11 +149,12 @@ func run(args []string, out io.Writer) error {
 		if conflict != nil {
 			return
 		}
-		// The replay benchmark runs a pinned suite (see cmd/lbabench/
-		// bench.go) so its artifacts compare across commits; every sweep
-		// and scale flag would be dropped silently, so reject them.
+		// The benchmarks run pinned suites (see cmd/lbabench/bench.go
+		// and profilebench.go) so their artifacts compare across commits;
+		// every sweep and scale flag would be dropped silently, so reject
+		// them.
 		if *bench != "" && f.Name != "bench" && f.Name != "json" && f.Name != "diff-schema" {
-			conflict = fmt.Errorf("-%s does not apply with -bench; the replay benchmark runs the pinned %d-tenant suite", f.Name, benchTenants)
+			conflict = fmt.Errorf("-%s does not apply with -bench; the %s benchmark runs a pinned suite", f.Name, *bench)
 			return
 		}
 		switch f.Name {
@@ -207,11 +209,13 @@ func run(args []string, out io.Writer) error {
 	}
 	s.opts = figures.Options{Scale: *scale, Threads: *threads, Runner: s.eng}
 
-	if *bench != "" {
-		// The benchmark report has its own schema and is written by
-		// benchReplay itself; the runner-report JSON path below does not
-		// apply.
+	// A benchmark report has its own schema and is written by the
+	// benchmark itself; the runner-report JSON path below does not apply.
+	switch *bench {
+	case "replay":
 		return s.benchReplay(*jsonPath, *diffSchema)
+	case "profile":
+		return s.benchProfile(*jsonPath, *diffSchema)
 	}
 
 	runAll := *fig == "" && *table == "" && *ablation == "" && *tenants == 0

@@ -123,6 +123,10 @@ type Result struct {
 
 	Violations []lifeguard.Violation
 
+	// Baseline is, for a ProfileLBA run only, the unmonitored run of the
+	// same program and configuration (see ProfileLBA). Nil otherwise.
+	Baseline *Result
+
 	// Replay is the retained log-history window (LBA runs with
 	// Config.RewindMode only); Memory is the application's final memory
 	// image. Together they drive the replay extension's rewind and
@@ -314,12 +318,13 @@ func RunLBA(p *prog.Program, lifeguardName string, cfg Config) (*Result, error) 
 		return 0
 	}
 
-	// One record slot per run, as in ProfileLBA: a pointer to deliver's
-	// argument would escape through Dispatch and move every record to the
-	// heap.
+	// One record slot per run, written field by field as in ProfileLBA: a
+	// pointer to deliver's argument would escape through Dispatch and move
+	// every record to the heap.
 	rec := new(event.Record)
 	deliver := func(r event.Record) {
-		*rec = r
+		rec.Type, rec.TID, rec.In1, rec.In2, rec.Out, rec.Size = r.Type, r.TID, r.In1, r.In2, r.Out, r.Size
+		rec.PC, rec.Addr, rec.Aux = r.PC, r.Addr, r.Aux
 		bits, ok := le.encode(rec)
 		if !ok {
 			return

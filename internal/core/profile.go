@@ -69,7 +69,7 @@ func (le *logEncoder) encode(rec *event.Record) (bits uint64, ok bool) {
 	if le.comp == nil {
 		bits = event.EncodedSize * 8
 	} else {
-		bits = uint64(le.comp.Append(*rec))
+		bits = uint64(le.comp.AppendRecord(rec))
 	}
 	le.logBits += bits
 	return bits, true
@@ -100,6 +100,14 @@ type TransportObserver interface {
 // The Result's WallCycles equals AppCycles (no lifeguard tail is modelled
 // here — the replay owns wall-clock accounting), and replay windows
 // (RewindMode) and parallel lifeguards are not supported.
+//
+// The Result's Baseline is the unmonitored run of p under cfg, equal to
+// what RunUnmonitored returns, derived from this run instead of simulated
+// again: core 0's L1s are private, scheduling is by instruction quantum,
+// kernel costs are fixed and nothing here stalls the application, so the
+// two runs differ only in which of core 0's L2 accesses hit. A solo L2
+// (mem.Hierarchy.MirrorSoloL2) that sees only core 0's traffic gives the
+// unmonitored outcome of each.
 func ProfileLBA(p *prog.Program, lifeguardName string, cfg Config, obs TransportObserver) (*Result, error) {
 	factory, err := Factory(lifeguardName)
 	if err != nil {
@@ -117,6 +125,7 @@ func ProfileLBA(p *prog.Program, lifeguardName string, cfg Config, obs Transport
 
 	memory := mem.NewMemory()
 	hier := mem.NewHierarchy(mem.DefaultHierarchyConfig(2))
+	hier.MirrorSoloL2()
 	kernel := osmodel.NewKernel(cfg.Kernel, memory)
 	machine := osmodel.NewMachine(cfg.Machine, p, memory, hier.Port(0), kernel)
 	appCore := machine.Core
@@ -130,10 +139,15 @@ func ProfileLBA(p *prog.Program, lifeguardName string, cfg Config, obs Transport
 	defer le.release()
 	// The dispatch engine hands the record to the lifeguard's handler
 	// table, so a pointer to deliver's argument would move every record
-	// to the heap. One slot per run takes each record instead.
+	// to the heap. One slot per run takes each record instead, written
+	// field by field from the registers r arrives in: `*rec = r` (or a
+	// helper taking r by value) spills r to the stack a byte at a time
+	// and reloads it 16 bytes at a time, a load that stalls on the stores
+	// it overlaps.
 	rec := new(event.Record)
 	deliver := func(r event.Record) {
-		*rec = r
+		rec.Type, rec.TID, rec.In1, rec.In2, rec.Out, rec.Size = r.Type, r.TID, r.In1, r.In2, r.Out, r.Size
+		rec.PC, rec.Addr, rec.Aux = r.PC, r.Addr, r.Aux
 		bits, ok := le.encode(rec)
 		if !ok {
 			return
@@ -170,6 +184,16 @@ func ProfileLBA(p *prog.Program, lifeguardName string, cfg Config, obs Transport
 	}
 	if kept := cap.Stats.Records - le.filtered; kept > 0 {
 		res.BytesPerRecord = float64(le.logBits) / 8 / float64(kept)
+	}
+	solo := hier.SoloCycles(appCore.Cycles)
+	res.Baseline = &Result{
+		Program:        p.Name,
+		Mode:           ModeUnmonitored,
+		Instructions:   appCore.Retired,
+		AppCycles:      solo,
+		WallCycles:     solo,
+		Records:        cap.Stats.Records,
+		MemRefFraction: res.MemRefFraction,
 	}
 	return res, nil
 }

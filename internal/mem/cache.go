@@ -64,6 +64,11 @@ type Cache struct {
 	lineBits uint
 	clock    uint64
 	stats    CacheStats
+	// last is the line the previous access touched (nil before the first
+	// and after a Flush) and lastTag its tag: a repeat access to it is a
+	// hit found without scanning its set.
+	last    *cacheLine
+	lastTag uint64
 }
 
 // NewCache builds a cache from cfg. It panics on invalid configuration;
@@ -122,16 +127,17 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	c.clock++
 	c.stats.Accesses++
 	tag := addr >> c.lineBits
+	if c.last != nil && tag == c.lastTag {
+		// The line cannot have left since: only a miss in its set
+		// replaces a line, and a miss re-points last.
+		return c.hit(c.last, write)
+	}
 	set := c.sets[tag&c.setMask]
 
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
-			c.stats.Hits++
-			set[i].lru = c.clock
-			if write && c.cfg.WriteBck {
-				set[i].dirty = true
-			}
-			return AccessResult{Hit: true}
+			c.last, c.lastTag = &set[i], tag
+			return c.hit(&set[i], write)
 		}
 	}
 
@@ -160,7 +166,18 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	if write && c.cfg.WriteBck {
 		set[victim].dirty = true
 	}
+	c.last, c.lastTag = &set[victim], tag
 	return res
+}
+
+// hit counts a hit on line and makes it the most recently used.
+func (c *Cache) hit(line *cacheLine, write bool) AccessResult {
+	c.stats.Hits++
+	line.lru = c.clock
+	if write && c.cfg.WriteBck {
+		line.dirty = true
+	}
+	return AccessResult{Hit: true}
 }
 
 // Probe reports whether addr currently hits without updating LRU state or
@@ -178,6 +195,7 @@ func (c *Cache) Probe(addr uint64) bool {
 
 // Flush invalidates every line, counting writebacks of dirty lines.
 func (c *Cache) Flush() {
+	c.last = nil
 	for _, set := range c.sets {
 		for i := range set {
 			if set[i].valid && set[i].dirty {

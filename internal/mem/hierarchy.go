@@ -48,6 +48,12 @@ type Hierarchy struct {
 	// L2 bandwidth accounting for the log transport (bytes moved through
 	// the shared cache on behalf of the log).
 	logBytes uint64
+	// solo, once MirrorSoloL2 is called, is the L2 core 0 would have were
+	// it alone on the chip: core 0's L2 traffic goes to it as well.
+	// sharedDRAM and soloDRAM add up the DRAM latency core 0 paid on the
+	// shared L2 and would have paid on the solo one.
+	solo                 *Cache
+	sharedDRAM, soloDRAM uint64
 }
 
 // NewHierarchy builds the hierarchy. It panics on invalid configuration.
@@ -85,6 +91,25 @@ func (h *Hierarchy) ChargeLogTransport(n uint64) { h.logBytes += n }
 // LogTransportBytes reports the cumulative log traffic through the L2.
 func (h *Hierarchy) LogTransportBytes() uint64 { return h.logBytes }
 
+// MirrorSoloL2 gives core 0 a solo L2 of the shared one's geometry,
+// which sees only core 0's traffic: its L1 misses and its dirty-victim
+// writebacks. Call it before the first access. Core 0's L1s are private,
+// so they see the same accesses whatever else runs on the chip; the solo
+// L2 then holds exactly what the L2 of a one-core hierarchy would, and
+// SoloCycles turns core 0's cycle count into that hierarchy's.
+func (h *Hierarchy) MirrorSoloL2() {
+	h.solo = NewCache(h.cfg.L2)
+	h.ports[0].solo = h.solo
+}
+
+// SoloCycles converts cycles core 0 spent on this hierarchy into the
+// cycles it would have spent with the solo L2 in place of the shared one
+// (see MirrorSoloL2): the two differ only in which of core 0's L2
+// accesses went on to DRAM.
+func (h *Hierarchy) SoloCycles(cycles uint64) uint64 {
+	return cycles - h.sharedDRAM + h.soloDRAM
+}
+
 // Port is one core's view of the hierarchy: private L1I and L1D backed by
 // the shared L2. All methods return the access latency in cycles.
 type Port struct {
@@ -92,6 +117,7 @@ type Port struct {
 	core int
 	l1i  Cache
 	l1d  Cache
+	solo *Cache // core 0's solo L2 once MirrorSoloL2 is called, else nil
 }
 
 // Core returns the owning core's index.
@@ -140,8 +166,27 @@ func (p *Port) accessThrough(l1 *Cache, addr uint64, wr bool) uint64 {
 	}
 	lat += p.hier.cfg.Lat.L2Hit
 	l2res := p.hier.l2.Access(addr, false)
+	if p.solo != nil {
+		p.mirror(res, addr, l2res.Hit)
+	}
 	if l2res.Hit {
 		return lat
 	}
 	return lat + p.hier.cfg.Lat.DRAM
+}
+
+// mirror replays one L1 miss of core 0 (res, at addr) on the solo L2 in
+// the order the shared L2 saw it, writeback first, and adds up the DRAM
+// latency each L2 charges for it; sharedHit is the shared L2's outcome.
+func (p *Port) mirror(res AccessResult, addr uint64, sharedHit bool) {
+	h := p.hier
+	if res.Writeback {
+		p.solo.Access(res.VictimAddr, true)
+	}
+	if !p.solo.Access(addr, false).Hit {
+		h.soloDRAM += h.cfg.Lat.DRAM
+	}
+	if !sharedHit {
+		h.sharedDRAM += h.cfg.Lat.DRAM
+	}
 }

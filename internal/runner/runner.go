@@ -25,7 +25,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/prog"
 	"repro/internal/workloads"
 )
 
@@ -119,16 +118,13 @@ func (e *Engine) Run(ctx context.Context, job Job) (*core.Result, error) {
 	return e.run(ctx, job, e.runFn)
 }
 
-// RunProgram is Run for a caller that has already built the job's
-// program (its Benchmark at its Workload): the job is memoized and
-// counted under the same key, but a miss executes p instead of building
-// the program again. p is only read, so the caller may run it
-// concurrently elsewhere (the tenant engine profiles the same build
-// beside the baseline).
-func (e *Engine) RunProgram(ctx context.Context, job Job, p *prog.Program) (*core.Result, error) {
-	return e.run(ctx, job, func(j Job) (*core.Result, error) {
-		return core.Run(j.Mode, p, j.Lifeguard, j.Config)
-	})
+// Adopt is Run for a result the caller already holds: res must be what
+// Run would compute for job. The job is memoized and counted under the
+// same key as Run's: a hit returns the result cached (or in flight)
+// under the key, and a miss caches res. The tenant engine adopts the
+// unmonitored baselines core.ProfileLBA derives from its profiling runs.
+func (e *Engine) Adopt(ctx context.Context, job Job, res *core.Result) (*core.Result, error) {
+	return e.run(ctx, job, func(Job) (*core.Result, error) { return res, nil })
 }
 
 func (e *Engine) run(ctx context.Context, job Job, fn func(Job) (*core.Result, error)) (*core.Result, error) {

@@ -28,8 +28,8 @@ type Engine struct {
 const DefaultProfileCache = 1024
 
 // NewEngine returns an engine with the given pool width (<= 0 selects
-// runtime.NumCPU, 1 is the serial reference). exp supplies baseline runs;
-// nil builds a private engine of the same width.
+// runtime.NumCPU, 1 is the serial reference). exp memoizes the
+// unmonitored baselines; nil builds a private engine of the same width.
 func NewEngine(workers int, exp *runner.Engine) *Engine {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -77,39 +77,29 @@ func profileTenant(t Tenant) Tenant {
 	return t
 }
 
-// produce profiles one tenant: it builds the tenant's program once and
-// runs the unmonitored baseline (memoized in the experiment runner under
-// its Job key) on its own goroutine beside the LBA profiling run, both
-// reading the same build. out, when non-nil, receives the timeline's
-// segments as they are recorded. A failed baseline is reported before a
-// failed profile, as when the two ran one after the other.
+// produce profiles one tenant: one LBA profiling run, whose derived
+// unmonitored baseline (core.Result.Baseline) is memoized in the
+// experiment runner under its Job key, so a figure panel that asks for
+// the same baseline shares it. out, when non-nil, receives the
+// timeline's segments as they are recorded.
 func (e *Engine) produce(ctx context.Context, t Tenant, out *streamTimeline) (*Profile, error) {
 	spec, err := workloads.ByName(t.Benchmark)
 	if err != nil {
 		return nil, err
 	}
-	program := spec.Build(t.Workload)
-	var base *core.Result
-	var baseErr error
-	baseDone := make(chan struct{})
-	go func() {
-		defer close(baseDone)
-		base, baseErr = e.exp.RunProgram(ctx, runner.Job{
-			Benchmark: t.Benchmark,
-			Mode:      core.ModeUnmonitored,
-			Workload:  t.Workload,
-			Config:    t.Config,
-		}, program)
-	}()
-	p, err := buildProfile(t, program, out)
-	<-baseDone
-	if baseErr != nil {
-		return nil, baseErr
-	}
+	p, err := buildProfile(t, spec.Build(t.Workload), out)
 	if err != nil {
 		return nil, err
 	}
-	p.Base = base
+	p.Base, err = e.exp.Adopt(ctx, runner.Job{
+		Benchmark: t.Benchmark,
+		Mode:      core.ModeUnmonitored,
+		Workload:  t.Workload,
+		Config:    t.Config,
+	}, p.Result.Baseline)
+	if err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 

@@ -29,8 +29,8 @@
 // core consumes the log while the application core produces it: a
 // tenant the memo already holds is replayed from its finished profile,
 // and one it does not is replayed from its timeline while the profiling
-// run is still recording it (the baseline runs beside the profile on
-// its own goroutine, from the same program build). The replay blocks
+// run is still recording it (the unmonitored baseline is derived from
+// the same run, core.Result.Baseline). The replay blocks
 // only where it has caught up with the recording, reads the profile's
 // results once the run completes, and consumes exactly the finished
 // timeline's steps, so the result equals a replay of the finished

@@ -38,12 +38,9 @@ var typeHasAux = [event.NumTypes]bool{
 type predictors struct {
 	lastPC  uint64
 	lastTID uint8          // threads switch at scheduling quanta only
-	nextPC  lastValueTable // successor of a non-sequential transfer, by PC
-	tuple   lastValueTable // static operand tuple, by PC
-	addr    strideTable    // effective address, by PC
+	pc      pcTable        // successor, operand tuple, address and aux strides, by PC
 	addrMkv lastValueTable // first-order Markov: (PC, last addr) -> next addr
 	addrFCM fcm            // global address FCM (cross-stream patterns)
-	aux     strideTable    // auxiliary value, by PC
 	_       [0]func()      // prevent accidental comparison
 }
 
@@ -76,7 +73,12 @@ func (c *Compressor) Reset() {
 }
 
 // Append compresses one record and returns the number of bits it consumed.
-func (c *Compressor) Append(r event.Record) int {
+func (c *Compressor) Append(r event.Record) int { return c.AppendRecord(&r) }
+
+// AppendRecord is Append for a record the caller holds in memory: it
+// reads the fields in place, where passing the record by value would copy
+// it first.
+func (c *Compressor) AppendRecord(r *event.Record) int {
 	before := c.w.BitLen()
 
 	// --- Program counter ---
@@ -84,20 +86,19 @@ func (c *Compressor) Append(r event.Record) int {
 	// '10'       : non-sequential-successor table hit
 	// '11'+varint: literal, zigzag delta from lastPC
 	seq := r.PC == c.p.lastPC+isa.InstBytes
-	key := hashPC(c.p.lastPC)
-	switch {
-	case seq:
+	if seq {
 		c.w.WriteBit(0)
 		c.hitPC++
-	case c.p.nextPC.predict(key) == r.PC:
-		c.w.WriteBits(0b01, 2) // '1' then '0'
-		c.hitPC++
-	default:
-		c.w.WriteBits(0b11, 2)
-		c.w.WriteVarint(int64(r.PC - c.p.lastPC))
-	}
-	if !seq {
-		c.p.nextPC.update(key, r.PC)
+	} else {
+		from := c.p.pc.at(hashPC(c.p.lastPC))
+		if from.nextPC == r.PC {
+			c.w.WriteBits(0b01, 2) // '1' then '0'
+			c.hitPC++
+		} else {
+			c.w.WriteBits(0b11, 2)
+			c.w.WriteVarint(int64(r.PC - c.p.lastPC))
+		}
+		from.nextPC = r.PC
 	}
 	c.p.lastPC = r.PC
 
@@ -114,24 +115,24 @@ func (c *Compressor) Append(r event.Record) int {
 	// --- Static operand tuple ---
 	// '1': per-PC tuple hit; '0'+40-bit literal.
 	packed := tuplePack(uint8(r.Type), r.In1, r.In2, r.Out, r.Size)
-	tkey := hashPC(r.PC)
-	if c.p.tuple.predict(tkey) == packed {
+	e := c.p.pc.at(hashPC(r.PC))
+	if e.tuple == packed {
 		c.w.WriteBit(1)
 		c.hitTup++
 	} else {
 		c.w.WriteBit(0)
 		c.w.WriteBits(packed, 40)
-		c.p.tuple.update(tkey, packed)
+		e.tuple = packed
 	}
 
 	// --- Address ---
 	// '0': per-PC stride hit; '10': per-PC Markov hit (pointer chases);
 	// '110': global FCM hit; '111'+varint: literal delta vs per-PC last.
 	if typeHasAddr[r.Type] {
-		last := c.p.addr.lastOf(tkey)
+		last := e.addr.last
 		mkey := hashPCVal(r.PC, last)
 		switch {
-		case c.p.addr.predict(tkey) == r.Addr:
+		case e.addr.predict() == r.Addr:
 			c.w.WriteBit(0)
 			c.hitAddr++
 		case c.p.addrMkv.predict(mkey) == r.Addr:
@@ -145,7 +146,7 @@ func (c *Compressor) Append(r event.Record) int {
 			c.w.WriteVarint(int64(r.Addr - last))
 		}
 		c.p.addrMkv.update(mkey, r.Addr)
-		c.p.addr.update(tkey, r.Addr)
+		e.addr.update(r.Addr)
 		c.p.addrFCM.update(r.Addr)
 	}
 
@@ -155,14 +156,14 @@ func (c *Compressor) Append(r event.Record) int {
 			c.w.WriteBit(r.Aux & 1) // taken bit, raw
 			c.hitAux++
 		} else {
-			if c.p.aux.predict(tkey) == r.Aux {
+			if e.aux.predict() == r.Aux {
 				c.w.WriteBit(1)
 				c.hitAux++
 			} else {
 				c.w.WriteBit(0)
-				c.w.WriteVarint(int64(r.Aux - c.p.aux.lastOf(tkey)))
+				c.w.WriteVarint(int64(r.Aux - e.aux.last))
 			}
-			c.p.aux.update(tkey, r.Aux)
+			e.aux.update(r.Aux)
 		}
 	}
 
@@ -222,19 +223,17 @@ func (d *Decompressor) Next() (event.Record, error) {
 	var rec event.Record
 
 	// --- Program counter ---
-	key := hashPC(d.p.lastPC)
 	var pc uint64
-	seq := false
 	if d.r.ReadBit() == 0 {
 		pc = d.p.lastPC + isa.InstBytes
-		seq = true
-	} else if d.r.ReadBit() == 0 {
-		pc = d.p.nextPC.predict(key)
 	} else {
-		pc = d.p.lastPC + uint64(d.r.ReadVarint())
-	}
-	if !seq {
-		d.p.nextPC.update(key, pc)
+		from := d.p.pc.at(hashPC(d.p.lastPC))
+		if d.r.ReadBit() == 0 {
+			pc = from.nextPC
+		} else {
+			pc = d.p.lastPC + uint64(d.r.ReadVarint())
+		}
+		from.nextPC = pc
 	}
 	d.p.lastPC = pc
 	rec.PC = pc
@@ -248,13 +247,13 @@ func (d *Decompressor) Next() (event.Record, error) {
 	}
 
 	// --- Static operand tuple ---
-	tkey := hashPC(pc)
+	e := d.p.pc.at(hashPC(pc))
 	var packed uint64
 	if d.r.ReadBit() == 1 {
-		packed = d.p.tuple.predict(tkey)
+		packed = e.tuple
 	} else {
 		packed = d.r.ReadBits(40)
-		d.p.tuple.update(tkey, packed)
+		e.tuple = packed
 	}
 	var ty uint8
 	ty, rec.In1, rec.In2, rec.Out, rec.Size = tupleUnpack(packed)
@@ -266,10 +265,10 @@ func (d *Decompressor) Next() (event.Record, error) {
 
 	// --- Address ---
 	if typeHasAddr[rec.Type] {
-		last := d.p.addr.lastOf(tkey)
+		last := e.addr.last
 		mkey := hashPCVal(pc, last)
 		if d.r.ReadBit() == 0 {
-			rec.Addr = d.p.addr.predict(tkey)
+			rec.Addr = e.addr.predict()
 		} else if d.r.ReadBit() == 0 {
 			rec.Addr = d.p.addrMkv.predict(mkey)
 		} else if d.r.ReadBit() == 0 {
@@ -278,7 +277,7 @@ func (d *Decompressor) Next() (event.Record, error) {
 			rec.Addr = last + uint64(d.r.ReadVarint())
 		}
 		d.p.addrMkv.update(mkey, rec.Addr)
-		d.p.addr.update(tkey, rec.Addr)
+		e.addr.update(rec.Addr)
 		d.p.addrFCM.update(rec.Addr)
 	}
 
@@ -288,11 +287,11 @@ func (d *Decompressor) Next() (event.Record, error) {
 			rec.Aux = d.r.ReadBit()
 		} else {
 			if d.r.ReadBit() == 1 {
-				rec.Aux = d.p.aux.predict(tkey)
+				rec.Aux = e.aux.predict()
 			} else {
-				rec.Aux = d.p.aux.lastOf(tkey) + uint64(d.r.ReadVarint())
+				rec.Aux = e.aux.last + uint64(d.r.ReadVarint())
 			}
-			d.p.aux.update(tkey, rec.Aux)
+			e.aux.update(rec.Aux)
 		}
 	}
 

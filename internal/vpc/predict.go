@@ -31,27 +31,37 @@ func (t *lastValueTable) update(key uint32, v uint64) {
 	t.vals[key&tableMask] = v
 }
 
-// strideTable predicts last + stride per key; it subsumes last-value
-// prediction (stride 0) and captures array walks.
-type strideTable struct {
-	last   [tableSize]uint64
-	stride [tableSize]uint64
+// stride predicts last + stride; it subsumes last-value prediction
+// (stride 0) and captures array walks. Literals are encoded as deltas
+// against last to keep them short.
+type stride struct {
+	last, stride uint64
 }
 
-func (t *strideTable) predict(key uint32) uint64 {
-	i := key & tableMask
-	return t.last[i] + t.stride[i]
+func (s *stride) predict() uint64 { return s.last + s.stride }
+
+func (s *stride) update(v uint64) {
+	s.stride = v - s.last
+	s.last = v
 }
 
-// lastOf returns the previous value for key; literals are encoded as deltas
-// against it to keep them short.
-func (t *strideTable) lastOf(key uint32) uint64 { return t.last[key&tableMask] }
-
-func (t *strideTable) update(key uint32, v uint64) {
-	i := key & tableMask
-	t.stride[i] = v - t.last[i]
-	t.last[i] = v
+// pcEntry is every per-PC predictor of one hashed PC, kept together so a
+// record touches one 48-byte entry, not a slot in each of six tables:
+// the successor of a non-sequential transfer from the PC, its static
+// operand tuple, and the strides of its address and auxiliary value.
+type pcEntry struct {
+	nextPC uint64
+	tuple  uint64
+	addr   stride
+	aux    stride
 }
+
+// pcTable holds a pcEntry per hashed PC (hashPC).
+type pcTable struct {
+	entries [tableSize]pcEntry
+}
+
+func (t *pcTable) at(key uint32) *pcEntry { return &t.entries[key&tableMask] }
 
 // fcm is an order-2 finite-context-method predictor: a rolling hash of the
 // two most recent values selects the table slot holding the predicted next
